@@ -7,11 +7,12 @@
 .PHONY: build test vet race bench bench-gate bench-baseline wire-compat docs docs-gen trace-smoke crash-smoke cluster-smoke mon-smoke rebalance-smoke verify
 
 # GATE_BENCH is the benchmark set the regression gate measures: the
-# wire codecs (bytes/report is the headline EXPERIMENTS.md number) and
-# the in-memory harvest pipeline for both wire versions. Fixed -50x
+# wire codecs (bytes/report is the headline EXPERIMENTS.md number), the
+# in-memory harvest pipeline for both wire versions, and the whole-store
+# reads (snapshot save/load and digest at a fixed store size). Fixed -50x
 # iteration counts keep the run fast and the allocation counts exact;
 # WAL arms are excluded because fsync timing is the disk's, not ours.
-GATE_BENCH = BenchmarkWireEncode|BenchmarkHarvestPipeline/wire-v./volatile
+GATE_BENCH = BenchmarkWireEncode|BenchmarkHarvestPipeline/wire-v./volatile|BenchmarkStoreSnapshot
 
 build:
 	go build ./...
@@ -43,12 +44,14 @@ bench-baseline:
 
 # wire-compat is the digest-equivalence gate: 10 seeds of v1, v2, and
 # mixed-fallback harvests must agree byte-for-byte on the store digest,
-# plus a fuzz pass over the batch decoder and the frame demultiplexer.
+# plus a fuzz pass over the batch decoder, the frame demultiplexer and
+# the store snapshot decoder (binary and legacy gob input).
 wire-compat:
 	go test ./internal/backend -run 'TestWireDigestEquivalence' -count=1 -v
 	go test ./internal/core -run 'TestUsageEpochWireEquivalence' -count=1
 	go test ./internal/telemetry -run xxx -fuzz FuzzDecodeBatchFrame -fuzztime 30s
 	go test ./internal/telemetry -run xxx -fuzz FuzzDecodeMessage -fuzztime 30s
+	go test ./internal/backend -run xxx -fuzz FuzzStoreLoad -fuzztime 30s
 
 # docs is the documentation gate: every package in the module must
 # carry exactly one package comment (scripts/checkdocs), and the

@@ -772,7 +772,7 @@ func (d *daemon) serveQuery(conn net.Conn) {
 				fmt.Fprintf(w, "checkpointed lsn=%d\n", d.durable.CheckpointLSN())
 			}
 		case "snapshot":
-			// The store's gob snapshot as base64 lines — what the
+			// The store's binary snapshot as base64 lines — what the
 			// scatter-gather router merges cluster-wide views from.
 			if err := cluster.WriteSnapshotLines(w, d.store); err != nil {
 				fmt.Fprintf(w, "ERR %v\n", err)

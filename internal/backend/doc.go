@@ -3,8 +3,8 @@
 // deduplication, aggregation of usage by client MAC across access
 // points (to account for roaming), per-device time series of radio
 // counters, neighbor tables, link-probe windows and scan samples, HMAC
-// anonymization of identifiers for analysis exports, and gob snapshot
-// persistence.
+// anonymization of identifiers for analysis exports, and snapshot
+// persistence as a binary stream (legacy gob snapshots still load).
 //
 // The store is lock-striped: client aggregates shard by MAC and
 // device-keyed series shard by serial, so concurrent harvest workers

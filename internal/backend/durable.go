@@ -178,11 +178,10 @@ func OpenDurable(dir string, o DurableOptions) (*DurableStore, RecoveryStats, er
 	for _, lsn := range lsns {
 		path := filepath.Join(dir, checkpointName(lsn))
 		if err := d.Store.LoadFile(path); err != nil {
-			// Corrupt or torn checkpoint: fall back a generation. The
-			// store may hold a partial load; reset by rebuilding.
+			// Corrupt or torn checkpoint: fall back a generation. A
+			// failed Load leaves the store untouched (still empty).
 			log.Printf("backend: checkpoint %s unreadable (%v), falling back", filepath.Base(path), err)
 			stats.Fallbacks++
-			d.Store = NewStoreShards(shards)
 			continue
 		}
 		d.ckptLSN = lsn

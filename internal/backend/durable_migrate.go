@@ -16,7 +16,7 @@ import (
 //
 // Record layout: marker byte, then uvarint token length + token bytes,
 // then uvarint ID count + uvarint IDs, then the rest of the record is
-// the operation payload (the gob slice for absorb, empty otherwise).
+// the operation payload (the snapshot slice for absorb, empty otherwise).
 // Part/unpart carry an empty token. The markers live in the gap the
 // replay discriminator leaves open: 0x02 is a v2 batch frame, pbwire
 // report tags start at 0x08.

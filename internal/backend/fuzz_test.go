@@ -5,34 +5,36 @@ import (
 	"testing"
 )
 
-// FuzzStoreLoad feeds arbitrary bytes — seeded with valid, truncated,
-// and bit-flipped gob snapshots — to Store.Load. The invariant is the
-// recovery contract OpenDurable leans on: a load either succeeds or
-// returns an error; it never panics, and on error the store is still
-// usable (the caller falls back to an older checkpoint or an empty
-// store and replays the WAL).
+// FuzzStoreLoad feeds arbitrary bytes to Store.Load, seeded with valid,
+// truncated, bit-flipped, count-inflated and trailing-byte binary
+// snapshots plus a legacy gob one. The invariant is the recovery
+// contract OpenDurable leans on: a load either succeeds or returns an
+// error; it never panics, never allocates beyond what the input's
+// length can justify, and on error the store is still usable (the
+// caller falls back to an older checkpoint or an empty store and
+// replays the WAL).
 func FuzzStoreLoad(f *testing.F) {
-	snap := func(n int) []byte {
+	snap := func(n int) *Store {
 		s := NewStore()
 		for _, r := range durableReports(n) {
 			s.Ingest(r)
 		}
-		var b bytes.Buffer
-		if err := s.Save(&b); err != nil {
-			f.Fatal(err)
-		}
-		return b.Bytes()
+		return s
 	}
-	valid := snap(20)
+	valid := saveBytes(f, snap(20))
 	f.Add([]byte{})
 	f.Add(valid)
-	f.Add(snap(1))
+	f.Add(saveBytes(f, snap(1)))
+	f.Add(saveBytes(f, richStore()))
 	f.Add(valid[:len(valid)/2]) // truncated
 	f.Add(valid[:len(valid)-1]) // torn final byte
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/3] ^= 0xff // bit-flipped mid-stream
 	f.Add(flipped)
-	f.Add([]byte("not a gob stream at all"))
+	f.Add(inflateClientCount(valid))
+	f.Add(append(bytes.Clone(valid), 0, 1, 2)) // trailing bytes
+	f.Add(legacyGob(f, snap(20)))
+	f.Add([]byte("not a snapshot at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore()
@@ -45,5 +47,8 @@ func FuzzStoreLoad(f *testing.F) {
 			t.Fatal("store unusable after Load")
 		}
 		_ = s.Digest()
+		if err == nil {
+			_ = saveBytes(t, s)
+		}
 	})
 }

@@ -311,7 +311,7 @@ func (s *Store) AbsorbedCount() int {
 }
 
 // Absorb applies one migration slice on a destination shard: anything
-// the store already holds for the moved networks is deleted, the gob
+// the store already holds for the moved networks is deleted, the
 // snapshot merges in through the deterministic MergeSnapshot path, the
 // networks are un-parted (receiving a slice makes this shard their
 // home), and the token is marked done. A token that was already

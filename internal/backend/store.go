@@ -1,12 +1,13 @@
 package backend
 
 import (
-	"encoding/gob"
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -160,16 +161,16 @@ type Store struct {
 
 	// Migration bookkeeping (see migrate.go). migMu guards both maps;
 	// it is only ever taken alone or inside the stripe locks
-	// (collectLocked), never the other way around. absorbMu serializes
-	// whole Absorb operations so two concurrent absorbs of the same
-	// token cannot both pass the dedup check and double-merge.
+	// (encodeSnapshotLocked), never the other way around. absorbMu
+	// serializes whole Absorb operations so two concurrent absorbs of
+	// the same token cannot both pass the dedup check and double-merge.
 	migMu    sync.Mutex
 	absorbed map[string]bool
 	parted   map[uint64]bool
 	absorbMu sync.Mutex
 
-	// saveDur, when EnableObs attached a registry, times gob snapshot
-	// encodes. Nil (no-op) otherwise.
+	// saveDur, when EnableObs attached a registry, times Save (binary
+	// snapshot encode and write). Nil (no-op) otherwise.
 	saveDur *obs.Histogram
 
 	// tracer, when EnableTrace attached one, records a store.ingest span
@@ -450,7 +451,7 @@ func (s *Store) Merge(p *Store) {
 
 	// Device-keyed series, in serial (and link-key) order per stripe.
 	for _, pd := range p.deviceShards {
-		for _, serial := range sortedKeys(pd.seen) {
+		for _, serial := range sortedKeys(nil, pd.seen) {
 			seq := pd.seen[serial]
 			ds := s.deviceShardFor(serial)
 			ds.mu.Lock()
@@ -459,25 +460,25 @@ func (s *Store) Merge(p *Store) {
 			}
 			ds.mu.Unlock()
 		}
-		for _, serial := range sortedKeys(pd.radio) {
+		for _, serial := range sortedKeys(nil, pd.radio) {
 			ds := s.deviceShardFor(serial)
 			ds.mu.Lock()
 			ds.radio[serial] = append(ds.radio[serial], pd.radio[serial]...)
 			ds.mu.Unlock()
 		}
-		for _, serial := range sortedKeys(pd.scans) {
+		for _, serial := range sortedKeys(nil, pd.scans) {
 			ds := s.deviceShardFor(serial)
 			ds.mu.Lock()
 			ds.scans[serial] = append(ds.scans[serial], pd.scans[serial]...)
 			ds.mu.Unlock()
 		}
-		for _, serial := range sortedKeys(pd.crashes) {
+		for _, serial := range sortedKeys(nil, pd.crashes) {
 			ds := s.deviceShardFor(serial)
 			ds.mu.Lock()
 			ds.crashes[serial] = append(ds.crashes[serial], pd.crashes[serial]...)
 			ds.mu.Unlock()
 		}
-		for _, serial := range sortedKeys(pd.neighbors) {
+		for _, serial := range sortedKeys(nil, pd.neighbors) {
 			ds := s.deviceShardFor(serial)
 			ds.mu.Lock()
 			m, ok := ds.neighbors[serial]
@@ -494,7 +495,7 @@ func (s *Store) Merge(p *Store) {
 		for k := range pd.links {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return lessLinkKey(keys[i], keys[j]) })
+		slices.SortFunc(keys, cmpLinkKey)
 		for _, k := range keys {
 			src := pd.links[k]
 			ds := s.deviceShardFor(k.From)
@@ -531,23 +532,25 @@ func (s *Store) Merge(p *Store) {
 	s.dupes.Add(p.dupes.Load())
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
+// sortedKeys appends m's keys to dst and sorts them.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	dst = slices.Grow(dst, len(m))
 	for k := range m {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
-func lessLinkKey(a, b LinkKey) bool {
-	if a.From != b.From {
-		return a.From < b.From
+// cmpLinkKey orders links by reporting serial, band, then peer.
+func cmpLinkKey(a, b LinkKey) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
 	}
-	if a.Band != b.Band {
-		return a.Band < b.Band
+	if c := cmp.Compare(a.Band, b.Band); c != 0 {
+		return c
 	}
-	return a.To.Uint64() < b.To.Uint64()
+	return cmp.Compare(a.To.Uint64(), b.To.Uint64())
 }
 
 // Stats summarizes ingestion.
@@ -578,8 +581,12 @@ func (s *Store) Clients() []*ClientAggregate {
 		}
 		cs.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MAC.Uint64() < out[j].MAC.Uint64() })
+	sortByMAC(out)
 	return out
+}
+
+func sortByMAC(cs []*ClientAggregate) {
+	slices.SortFunc(cs, func(a, b *ClientAggregate) int { return cmp.Compare(a.MAC.Uint64(), b.MAC.Uint64()) })
 }
 
 // Links returns every stored link series, sorted for determinism.
@@ -592,7 +599,7 @@ func (s *Store) Links() []*LinkSeries {
 		}
 		ds.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return lessLinkKey(out[i].Key, out[j].Key) })
+	slices.SortFunc(out, func(x, y *LinkSeries) int { return cmpLinkKey(x.Key, y.Key) })
 	return out
 }
 
@@ -679,41 +686,33 @@ func (s *Store) NeighborCount(serial string) int {
 	return len(ds.neighbors[serial])
 }
 
-// snapshot is the gob-persisted form of the store. The format predates
-// sharding (flat maps), so snapshots round-trip across shard counts and
-// old snapshots still load.
-type snapshot struct {
-	Seen      map[string]uint64
-	Clients   map[dot11.MAC]*ClientAggregate
-	Links     map[LinkKey]*LinkSeries
-	Radio     map[string][]RadioSample
-	Scans     map[string][]ScanPoint
-	Neighbors map[string]map[dot11.BSSID]NeighborEntry
-	Crashes   map[string][]telemetry.CrashRecord
-	// Absorbed and Parted persist the rebalance bookkeeping (migrate.go)
-	// so a restarted shard still refuses parted networks and still
-	// deduplicates migration slices by token. Both are nil when no
-	// rebalance ever touched the store — gob then omits them, so
-	// pre-rebalance snapshots are byte-identical — and neither feeds
-	// Digest, so data equivalence is unaffected.
-	Absorbed map[string]bool
-	Parted   map[uint64]bool
-}
-
-// Save writes a gob snapshot. Every stripe lock is held for the
-// duration of the encode: the snapshot references live aggregates and
-// series, so releasing the locks before encoding would let a concurrent
-// Ingest mutate a map mid-encode (merakid snapshots while serve
-// goroutines are still ingesting). Locks are acquired in index order,
+// Save writes a binary snapshot (snapshot.go). Every stripe lock is
+// held while the store is encoded into in-memory chunks: the encode
+// reads live aggregates and series, so releasing the locks earlier
+// would let a concurrent Ingest mutate a map mid-encode (merakid
+// snapshots while serve goroutines are still ingesting). The locks
+// drop before the chunks are written to w, so a checkpoint's file
+// write never stalls ingest. Locks are acquired in index order,
 // clients then devices; no other path holds more than one stripe at a
-// time, so the ordering cannot deadlock. Ingest stalls for the encode,
-// which is the price of a consistent snapshot — same contract as the
-// pre-sharding single-mutex store.
+// time, so the ordering cannot deadlock.
 func (s *Store) Save(w io.Writer) error {
 	sp := obs.StartSpan(s.saveDur)
 	defer sp.End()
-	defer s.lockAll()()
-	return gob.NewEncoder(w).Encode(s.collectLocked())
+	var chunks [][]byte
+	newChunk := func() []byte { return make([]byte, 0, chunkSize+chunkSize/4) }
+	c := chunker{b: newChunk(), sink: func(b []byte) []byte {
+		chunks = append(chunks, b)
+		return newChunk()
+	}}
+	unlock := s.lockAll()
+	s.encodeSnapshotLocked(&c)
+	unlock()
+	for _, b := range append(chunks, c.b) {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // lockAll acquires every stripe lock in index order (clients then
@@ -736,159 +735,81 @@ func (s *Store) lockAll() func() {
 	}
 }
 
-// collectLocked flattens the stripes into the persisted snapshot form.
-// The result references live aggregates and series, so the caller must
-// hold every stripe lock (lockAll) until it is done reading them.
-func (s *Store) collectLocked() snapshot {
-	snap := snapshot{
-		Seen:      make(map[string]uint64),
-		Clients:   make(map[dot11.MAC]*ClientAggregate),
-		Links:     make(map[LinkKey]*LinkSeries),
-		Radio:     make(map[string][]RadioSample),
-		Scans:     make(map[string][]ScanPoint),
-		Neighbors: make(map[string]map[dot11.BSSID]NeighborEntry),
-		Crashes:   make(map[string][]telemetry.CrashRecord),
-	}
-	for _, cs := range s.clientShards {
-		for mac, c := range cs.clients {
-			snap.Clients[mac] = c
-		}
-	}
-	for _, ds := range s.deviceShards {
-		for k, v := range ds.seen {
-			snap.Seen[k] = v
-		}
-		for k, v := range ds.links {
-			snap.Links[k] = v
-		}
-		for k, v := range ds.radio {
-			snap.Radio[k] = v
-		}
-		for k, v := range ds.scans {
-			snap.Scans[k] = v
-		}
-		for k, v := range ds.neighbors {
-			snap.Neighbors[k] = v
-		}
-		for k, v := range ds.crashes {
-			snap.Crashes[k] = v
-		}
-	}
-	s.migMu.Lock()
-	if len(s.absorbed) > 0 {
-		snap.Absorbed = make(map[string]bool, len(s.absorbed))
-		for k := range s.absorbed {
-			snap.Absorbed[k] = true
-		}
-	}
-	if len(s.parted) > 0 {
-		snap.Parted = make(map[uint64]bool, len(s.parted))
-		for k := range s.parted {
-			snap.Parted[k] = true
-		}
-	}
-	s.migMu.Unlock()
-	return snap
-}
-
-// Load replaces the store contents from a gob snapshot. The shard
+// Load replaces the store contents from a snapshot: the binary stream
+// Save writes, or the legacy gob form earlier builds wrote (old
+// checkpoints and WAL absorb records stay readable after an upgrade).
+// The whole input is decoded into private stripes first, so a corrupt
+// snapshot returns an error and leaves the store as it was. The shard
 // layout is never swapped out — the slice headers and mask are
 // effectively immutable after NewStoreShards, which is what lets every
 // other method read them without synchronization — so Load instead
-// resets each existing stripe and folds the decoded entries in under
-// the stripe locks. That makes Load race-free against concurrent Ingest
-// and readers, but not atomic: an overlapping reader can observe a mix
-// of old and new entries while the load is in flight. Callers wanting a
-// consistent view should load before serving (merakid does).
+// swaps each stripe's maps in under that stripe's lock. That makes Load
+// race-free against concurrent Ingest and readers, but not atomic: an
+// overlapping reader can observe a mix of old and new stripes while the
+// load is in flight. Callers wanting a consistent view should load
+// before serving (merakid does).
 func (s *Store) Load(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	b, err := readSnapshot(r)
+	if err != nil {
 		return fmt.Errorf("backend: load: %w", err)
 	}
-	for _, cs := range s.clientShards {
+	return s.loadBytes(b)
+}
+
+// readSnapshot reads r to the end — in one allocation when r knows its
+// remaining length, as the bytes.Reader the router and WAL replay hand
+// over does.
+func readSnapshot(r io.Reader) ([]byte, error) {
+	if l, ok := r.(interface{ Len() int }); ok {
+		b := make([]byte, l.Len())
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	return io.ReadAll(r)
+}
+
+func (s *Store) loadBytes(b []byte) error {
+	tmp, err := s.decodeSnapshot(b)
+	if err != nil {
+		return fmt.Errorf("backend: load: %w", err)
+	}
+	for i, cs := range s.clientShards {
 		cs.mu.Lock()
-		cs.clients = make(map[dot11.MAC]*ClientAggregate)
+		cs.clients = tmp.clientShards[i].clients
 		cs.mu.Unlock()
 	}
-	for _, ds := range s.deviceShards {
+	for i, ds := range s.deviceShards {
+		src := tmp.deviceShards[i]
 		ds.mu.Lock()
-		ds.seen = make(map[string]uint64)
-		ds.radio = make(map[string][]RadioSample)
-		ds.scans = make(map[string][]ScanPoint)
-		ds.neighbors = make(map[string]map[dot11.BSSID]NeighborEntry)
-		ds.crashes = make(map[string][]telemetry.CrashRecord)
-		ds.links = make(map[LinkKey]*LinkSeries)
+		ds.seen, ds.radio, ds.scans = src.seen, src.radio, src.scans
+		ds.neighbors, ds.crashes, ds.links = src.neighbors, src.crashes, src.links
 		ds.ingests.Store(0)
 		ds.mu.Unlock()
 	}
 	s.ingests.Store(0)
 	s.dupes.Store(0)
 	s.migMu.Lock()
-	s.absorbed, s.parted = nil, nil
-	for k := range snap.Absorbed {
-		if s.absorbed == nil {
-			s.absorbed = make(map[string]bool)
-		}
-		s.absorbed[k] = true
-	}
-	for k := range snap.Parted {
-		if s.parted == nil {
-			s.parted = make(map[uint64]bool)
-		}
-		s.parted[k] = true
-	}
+	s.absorbed, s.parted = tmp.absorbed, tmp.parted
 	s.migMu.Unlock()
-	for mac, c := range snap.Clients {
-		if c.Apps == nil {
-			c.Apps = make(map[string]*telemetry.AppUsageRecord)
-		}
-		if c.APs == nil {
-			c.APs = make(map[string]bool)
-		}
-		cs := s.clientShardFor(mac)
-		cs.mu.Lock()
-		cs.clients[mac] = c
-		cs.mu.Unlock()
-	}
-	withDeviceShard := func(serial string, fill func(*deviceShard)) {
-		ds := s.deviceShardFor(serial)
-		ds.mu.Lock()
-		fill(ds)
-		ds.mu.Unlock()
-	}
-	for serial, seq := range snap.Seen {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.seen[serial] = seq })
-	}
-	for k, v := range snap.Links {
-		withDeviceShard(k.From, func(ds *deviceShard) { ds.links[k] = v })
-	}
-	for serial, v := range snap.Radio {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.radio[serial] = v })
-	}
-	for serial, v := range snap.Scans {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.scans[serial] = v })
-	}
-	for serial, v := range snap.Neighbors {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.neighbors[serial] = v })
-	}
-	for serial, v := range snap.Crashes {
-		withDeviceShard(serial, func(ds *deviceShard) { ds.crashes[serial] = v })
-	}
 	return nil
 }
 
-// MergeSnapshot folds a gob snapshot into the store without resetting
+// MergeSnapshot folds a snapshot into the store without resetting
 // what it already holds — the shard-aware counterpart to Load. The
 // scatter-gather router uses it to rebuild a cluster-wide view: each
 // shard's snapshot decodes into a scratch store and merges through the
 // same deterministic path the parallel epoch pipeline uses, so the
-// merged digest is independent of fetch order. Ingestion counters from
-// the snapshot are not recovered (the snapshot format predates them);
-// digests never include counters, so equivalence is unaffected.
+// merged digest is independent of fetch order. Ingestion counters are
+// not part of a snapshot; digests never include counters, so
+// equivalence is unaffected.
 func (s *Store) MergeSnapshot(r io.Reader) error {
-	tmp := NewStoreShards(s.NumShards())
-	if err := tmp.Load(r); err != nil {
-		return err
+	b, err := readSnapshot(r)
+	if err != nil {
+		return fmt.Errorf("backend: merge snapshot: %w", err)
+	}
+	tmp, err := s.decodeSnapshot(b)
+	if err != nil {
+		return fmt.Errorf("backend: merge snapshot: %w", err)
 	}
 	s.Merge(tmp)
 	return nil
@@ -942,10 +863,9 @@ func syncDir(dir string) {
 
 // LoadFile reads a snapshot from a file path.
 func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return s.Load(f)
+	return s.loadBytes(b)
 }

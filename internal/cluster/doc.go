@@ -21,7 +21,7 @@
 // jittered capped retries, and degrades gracefully — a down shard
 // yields a per-shard error while the others' data still comes back,
 // flagged Degraded so the caller knows the answer is partial.
-// MergedStore/MergedDigest pull each live shard's gob snapshot and
+// MergedStore/MergedDigest pull each live shard's binary snapshot and
 // fold them through backend.Store.Merge; because shards own disjoint
 // networks (hence disjoint serials and client MACs), the merged digest
 // of a healthy cluster is byte-identical to the digest a single

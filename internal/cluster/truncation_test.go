@@ -226,7 +226,7 @@ func TestShardErrGuardAfterRetarget(t *testing.T) {
 // encoding chunked.
 func TestSnapshotLinesStayChunked(t *testing.T) {
 	s := backend.NewStore()
-	streams := clusterReports(5, 220)
+	streams := clusterReports(5, 320)
 	for _, st := range streams {
 		for _, r := range st.Reports {
 			s.Ingest(r)

@@ -464,11 +464,15 @@ func decodeReportDelta(d *pbwire.Decoder, dict *pbwire.Dict, prev *batchPrev) (*
 		if err != nil {
 			return nil, err
 		}
+		// Mirror v1's tolerance: a capability blob of the wrong length
+		// is ignored, not fatal. It decodes as an all-zero blob — what
+		// re-encoding the zero capabilities sends — so a re-encoded
+		// batch decodes to the same report.
+		var caps [2]byte
 		if len(cb) == 2 {
-			// Mirror v1's tolerance: a capability blob of the wrong
-			// length is ignored, not fatal.
-			c.Caps = dot11.UnmarshalCapabilities([2]byte{cb[0], cb[1]})
+			caps = [2]byte{cb[0], cb[1]}
 		}
+		c.Caps = dot11.UnmarshalCapabilities(caps)
 		if n2, err := d.Uint64(); err != nil {
 			return nil, err
 		} else {
