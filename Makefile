@@ -74,30 +74,32 @@ trace-smoke:
 		-trace-out /tmp/trace-smoke.json -out /tmp/trace-smoke.gob
 	go run ./scripts/tracecheck /tmp/trace-smoke.json
 
-# crash-smoke is the kill-and-recover gate: harvest a live agent fleet
-# into a WAL-backed merakid, SIGKILL it mid-harvest (twice), restart it
-# over the same -wal-dir, and require the recovered store digest to
-# match a never-crashed control (see scripts/crashcheck). The
-# cmd/merakid crash tests run the same proof across 10 seeds in-tree.
+# crash-smoke is the kill-and-recover gate: real merakid subprocesses
+# harvest a live agent fleet into a WAL, are SIGKILLed mid-harvest and
+# restarted over the same -wal-dir, and the recovered store digest must
+# match a never-crashed control — TestCrashRecoveryDigest over 10 seeded
+# kill moments and TestCrashRecoveryDoubleKill over two kill cycles
+# (cmd/merakid/crash_test.go, on the internal/fleettest harness).
 crash-smoke:
-	go run ./scripts/crashcheck -seed 1 -cycles 2
+	go test ./cmd/merakid -run 'TestCrashRecovery' -count=1
 
-# cluster-smoke is the sharded-deployment gate: spawn a 4-shard merakid
-# cluster (per-shard WAL dirs, -shard/-shards/-peers), harvest a
-# mixed-wire fleet routed by the shard map, and require both the
-# router's merged digest and shard 0's own "fanout digest" to match a
-# single-daemon control (see scripts/clustercheck). The cmd/merakid and
-# internal/cluster tests run the same proof in-tree, including a
-# SIGKILLed-and-recovered shard.
+# cluster-smoke is the sharded-deployment gate: a 4-shard merakid
+# cluster (per-shard WAL dirs, -shard/-shards/-peers) harvests a
+# mixed-wire fleet routed by the shard map while one shard is SIGKILLed
+# and recovered; the router's merged digest must be undegraded and match
+# a single-store control, shard 1's own "fanout digest" must agree with
+# degraded=false, and every shard must identify itself in status
+# (TestClusterKillRecoveryDigest in cmd/merakid/cluster_test.go).
 cluster-smoke:
-	go run ./scripts/clustercheck -shards 4
+	go test ./cmd/merakid -run 'TestClusterKillRecoveryDigest' -count=1
 
 # mon-smoke is the observability gate: spawn a 2-shard cluster on a
 # fast series/health cadence, degrade one shard with faultnet-corrupted
 # chaos agents, and require the harvest-degradation alert to fire and
 # resolve, the transitions to be counted in health.* metrics, shard 0's
 # /debug/federate to carry both shards' samples, and one merakireport
-# -watch refresh to render every shard (see scripts/moncheck).
+# -watch refresh to render every shard (scripts/moncheck, a thin main
+# over the internal/fleettest harness).
 mon-smoke:
 	go run ./scripts/moncheck
 
@@ -106,8 +108,9 @@ mon-smoke:
 # (`merakireport -cluster OLD -rebalance NEW` — part, extract, absorb,
 # digest-verify, cut over), flip the fleet, and require the 3-shard
 # merged digest to match a single-store control with moved networks
-# gone from their sources (see scripts/rebalancecheck). The
-# cmd/merakid rebalance tests run the same proof in-tree, including a
+# gone from their sources (scripts/rebalancecheck, a thin main over the
+# internal/fleettest harness). The cmd/merakid rebalance tests run the
+# same proof through the daemon's own "rebalance" query, including a
 # destination SIGKILLed mid-migration.
 rebalance-smoke:
 	go run ./scripts/rebalancecheck

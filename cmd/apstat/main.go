@@ -10,13 +10,14 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"net"
+	"io"
 	"os"
 	"strings"
 	"time"
+
+	"wlanscale/internal/cluster"
 )
 
 func main() {
@@ -27,30 +28,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: apstat [-addr host:port] COMMAND [ARGS]")
 		os.Exit(2)
 	}
-	if err := run(*addr, strings.Join(flag.Args(), " "), *timeout); err != nil {
+	if err := run(os.Stdout, *addr, strings.Join(flag.Args(), " "), *timeout); err != nil {
 		fmt.Fprintf(os.Stderr, "apstat: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, command string, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// run prints the reply to one query. A stalled merakid costs one
+// timeout, not a hung CLI, and a reply cut off before its terminator
+// is an error with nothing printed, never a short answer.
+func run(w io.Writer, addr, command string, timeout time.Duration) error {
+	lines, err := cluster.Query(addr, command, nil, timeout)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	// A stalled merakid should cost one deadline, not a hung CLI.
-	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		return err
+	for _, ln := range lines {
+		fmt.Fprintln(w, ln)
 	}
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			break
-		}
-		fmt.Println(line)
-	}
-	return sc.Err()
+	return nil
 }

@@ -2,17 +2,12 @@ package main
 
 import (
 	"fmt"
-	"os/exec"
-	"strconv"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
-	"wlanscale/internal/backend"
 	"wlanscale/internal/cluster"
-	"wlanscale/internal/dot11"
-	"wlanscale/internal/telemetry"
+	"wlanscale/internal/fleettest"
 )
 
 // The cluster kill harness: four real merakid shards, each with its own
@@ -23,160 +18,56 @@ import (
 // store fed the same reports: sharding plus a crash changes nothing
 // about what the cluster holds.
 
-const (
-	clusterShards     = 4
-	clusterNetworks   = 6
-	clusterAPsPerNet  = 2
-	clusterReportsPer = 60
-)
+const clusterShards = 4
 
-// clusterFleetReports builds one AP's deterministic stream. Serials and
-// client MACs embed the network ID, so networks—and therefore
-// shards—own disjoint serials and clients.
-func clusterFleetReports(netID uint64, ap int) []*telemetry.Report {
-	serial := fmt.Sprintf("Q2CL-%03d-%d", netID, ap)
-	out := make([]*telemetry.Report, 0, clusterReportsPer)
-	for i := 0; i < clusterReportsPer; i++ {
-		out = append(out, &telemetry.Report{
-			Serial:    serial,
-			Timestamp: uint64(1700000000 + i),
-			Clients: []telemetry.ClientRecord{{
-				MAC:  dot11.MAC{0x02, 0xc7, byte(netID), byte(ap), byte(i >> 8), byte(i)},
-				Band: dot11.Band5,
-				Apps: []telemetry.AppUsageRecord{{
-					App: "YouTube", UpBytes: uint64(i), DownBytes: uint64(i) * 11, Flows: 1,
-				}},
-			}},
-		})
-	}
-	return out
-}
+// clusterSpec is the sharded fleet: serials and client MACs embed the
+// network ID, so networks — and therefore shards — own disjoint
+// serials and clients.
+var clusterSpec = fleettest.Spec{Networks: 6, APs: 2, Reports: 60}
 
-// clusterControlDigest is the single-daemon ground truth: every AP's
-// stream ingested into one store with the seqnos Enqueue would stamp.
-func clusterControlDigest() string {
-	s := backend.NewStore()
-	for n := 0; n < clusterNetworks; n++ {
-		for ap := 0; ap < clusterAPsPerNet; ap++ {
-			for i, r := range clusterFleetReports(uint64(100+n), ap) {
-				r.SeqNo = uint64(i + 1)
-				s.Ingest(r)
-			}
-		}
+// mergedDigest asks a test-side router for the merged digest over
+// queries and requires it healthy and equal to want.
+func mergedDigest(t *testing.T, queries []string, want string) {
+	t.Helper()
+	r := &cluster.Router{Shards: queries, Timeout: 5 * time.Second}
+	dig, err := r.MergedDigest()
+	if err != nil {
+		t.Fatalf("merged digest: %v", err)
 	}
-	return s.Digest()
+	if dig.Degraded || len(dig.Down) != 0 || dig.Digest != want {
+		t.Fatalf("merged cluster digest\n got %s (degraded=%v down=%v)\nwant %s", dig.Digest, dig.Degraded, dig.Down, want)
+	}
 }
 
 func TestClusterKillRecoveryDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess cluster harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
-	want := clusterControlDigest()
-
-	ports := freePorts(t, 2*clusterShards)
-	listens := make([]string, clusterShards)
-	queries := make([]string, clusterShards)
-	walDirs := make([]string, clusterShards)
-	for i := 0; i < clusterShards; i++ {
-		listens[i], queries[i] = ports[2*i], ports[2*i+1]
-		walDirs[i] = t.TempDir()
-	}
-	peers := strings.Join(queries, ",")
-	shardFlags := func(i int) []string {
-		return []string{
-			"-shard", strconv.Itoa(i),
-			"-shards", strconv.Itoa(clusterShards),
-			"-peers", peers,
-		}
-	}
-
-	daemons := make([]*exec.Cmd, clusterShards)
-	for i := 0; i < clusterShards; i++ {
-		daemons[i] = startDaemon(t, bin, listens[i], queries[i], walDirs[i], shardFlags(i)...)
-	}
-	defer func() {
-		for _, d := range daemons {
-			if d != nil {
-				d.Process.Kill()
-				d.Wait()
-			}
-		}
-	}()
+	c := startCluster(t, clusterShards, fleettest.ShardFlags)
 
 	// The fleet, routed by the same map merakisim uses: each agent's
-	// address chain is exactly its network's shard. Wire versions
-	// alternate so both codecs cross every shard's WAL.
+	// address chain is exactly its network's shard.
 	stop := make(chan struct{})
 	defer close(stop)
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = 0x42
-	}
 	m := cluster.NewMap(clusterShards)
-	var agents []*telemetry.Agent
-	ai := 0
-	for n := 0; n < clusterNetworks; n++ {
-		netID := uint64(100 + n)
-		for ap := 0; ap < clusterAPsPerNet; ap++ {
-			a := telemetry.NewAgent(fmt.Sprintf("Q2CL-%03d-%d", netID, ap), key)
-			if ai%2 == 0 {
-				a.Wire = telemetry.WireV2
-			}
-			a.Timeout = 2 * time.Second
-			a.BackoffBase = 20 * time.Millisecond
-			a.BackoffMax = 200 * time.Millisecond
-			for _, r := range clusterFleetReports(netID, ap) {
-				a.Enqueue(r)
-			}
-			agents = append(agents, a)
-			go a.RunWithReconnect(listens[m.Shard(netID)], stop)
-			ai++
-		}
-	}
+	f := fleettest.NewFleet(clusterSpec, clusterSpec.Reports)
+	f.Run(func(net uint64) string { return c.Daemons[m.Shard(net)].Listen }, stop)
 
 	// SIGKILL one shard mid-harvest and restart it over its WAL; its
 	// agents retry through the outage while the other shards keep
 	// harvesting undisturbed.
 	const victim = 1
 	time.Sleep(80 * time.Millisecond)
-	if err := daemons[victim].Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	daemons[victim].Wait()
-	daemons[victim] = startDaemon(t, bin, listens[victim], queries[victim], walDirs[victim], shardFlags(victim)...)
-
-	deadline := drainDeadline(t)
-	for {
-		left := 0
-		for _, a := range agents {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet did not drain: %d reports still queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	killRestart(t, c.Daemons[victim])
+	drain(t, f)
 
 	// Arm one: the test-side router merges all four shards.
-	r := &cluster.Router{Shards: queries, Timeout: 5 * time.Second}
-	dig, err := r.MergedDigest()
-	if err != nil {
-		t.Fatalf("merged digest: %v", err)
-	}
-	if dig.Degraded || len(dig.Down) != 0 {
-		t.Fatalf("recovered cluster still degraded: %+v", dig)
-	}
-	if dig.Digest != want {
-		t.Fatalf("cluster digest after kill+recovery\n got %s\nwant %s", dig.Digest, want)
-	}
+	want := clusterSpec.ControlDigest()
+	mergedDigest(t, c.Queries(), want)
 
 	// Arm two: the daemons' own scatter-gather — "fanout digest" asked
 	// of the recovered victim itself must agree.
-	lines := queryDaemon(t, queries[victim], "fanout digest")
+	lines := query(t, c.Daemons[victim].Query, "fanout digest")
 	if len(lines) < 2 {
 		t.Fatalf("fanout digest answered %q", lines)
 	}
@@ -189,8 +80,8 @@ func TestClusterKillRecoveryDigest(t *testing.T) {
 
 	// Every shard self-identifies in status; together they cover 0..3.
 	seen := make(map[string]bool)
-	for i := range queries {
-		for _, ln := range queryDaemon(t, queries[i], "status") {
+	for _, q := range c.Queries() {
+		for _, ln := range query(t, q, "status") {
 			if strings.HasPrefix(ln, "shard ") {
 				seen[ln] = true
 			}

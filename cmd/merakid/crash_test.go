@@ -2,20 +2,11 @@ package main
 
 import (
 	"fmt"
-	"net"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
-	"sync"
-	"syscall"
 	"testing"
 	"time"
 
-	"wlanscale/internal/backend"
-	"wlanscale/internal/dot11"
+	"wlanscale/internal/fleettest"
 	"wlanscale/internal/rng"
-	"wlanscale/internal/telemetry"
 )
 
 // The kill harness: a real merakid subprocess harvesting a small agent
@@ -25,134 +16,46 @@ import (
 // the same reports — exactly-once across process death: no acked
 // report lost, none double-counted.
 
-const (
-	crashAgents     = 3
-	crashReportsPer = 120
-)
+// crashSpec is the kill harness's fleet: three APs of one network, the
+// agents alternating wire versions so every recovery replays a WAL
+// holding both record shapes (per-report v1 records and whole-batch v2
+// frame records).
+var crashSpec = fleettest.Spec{Networks: 1, APs: 3, Reports: 120}
 
-var (
-	merakidOnce sync.Once
-	merakidBin  string
-	merakidErr  error
-)
-
-// buildMerakid compiles the daemon once per test binary run.
-func buildMerakid(t *testing.T) string {
+// startCluster launches n WAL-backed merakid daemons (see
+// fleettest.Start) and stops them when the test ends.
+func startCluster(t *testing.T, n int, flags func(i int, c *fleettest.Cluster) []string) *fleettest.Cluster {
 	t.Helper()
-	merakidOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "merakid-bin-*")
-		if err != nil {
-			merakidErr = err
-			return
-		}
-		merakidBin = filepath.Join(dir, "merakid")
-		cmd := exec.Command("go", "build", "-o", merakidBin, ".")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			merakidErr = fmt.Errorf("go build: %v\n%s", err, out)
-		}
-	})
-	if merakidErr != nil {
-		t.Fatal(merakidErr)
+	bin, err := fleettest.Build("merakid")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return merakidBin
+	c, err := fleettest.Start(fleettest.Config{Bin: bin, Daemons: n, WALRoot: t.TempDir(), Flags: flags})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	return c
 }
 
-// crashReports builds agent ai's deterministic report stream. Client
-// MACs embed the agent index so the fleets touch disjoint clients —
-// the recovered aggregate is then independent of how the daemons
-// interleaved polls across agents.
-func crashReports(ai int) []*telemetry.Report {
-	serial := fmt.Sprintf("Q2XX-CRASH-%d", ai)
-	out := make([]*telemetry.Report, 0, crashReportsPer)
-	for i := 0; i < crashReportsPer; i++ {
-		out = append(out, &telemetry.Report{
-			Serial:    serial,
-			Timestamp: uint64(1700000000 + i),
-			Clients: []telemetry.ClientRecord{{
-				MAC:  dot11.MAC{0x02, 0xc4, byte(ai), 0x00, byte(i >> 8), byte(i)},
-				Band: dot11.Band5,
-				Apps: []telemetry.AppUsageRecord{{
-					App: "Netflix", UpBytes: uint64(i), DownBytes: uint64(i) * 7, Flows: 1,
-				}},
-			}},
-		})
-	}
-	return out
-}
-
-// controlDigest is the ground truth: the same fleet ingested into an
-// in-process store with the seqnos Enqueue would stamp (1-based per
-// agent).
-func crashControlDigest() string {
-	s := backend.NewStore()
-	for ai := 0; ai < crashAgents; ai++ {
-		for i, r := range crashReports(ai) {
-			r.SeqNo = uint64(i + 1)
-			s.Ingest(r)
-		}
-	}
-	return s.Digest()
-}
-
-// freePorts reserves n distinct TCP ports and releases them just
-// before returning; the tiny reuse race is absorbed by startDaemon's
-// retry.
-func freePorts(t *testing.T, n int) []string {
+// killRestart SIGKILLs d and restarts it over its WAL on the same
+// addresses.
+func killRestart(t *testing.T, d *fleettest.Daemon) {
 	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+	if err := d.Kill(); err != nil {
+		t.Fatal(err)
 	}
-	for _, ln := range lns {
-		ln.Close()
+	if err := d.Restart(); err != nil {
+		t.Fatal(err)
 	}
-	return addrs
 }
 
-// startDaemon launches merakid and waits for its query port to accept.
-// extra appends additional flags (the cluster tests pass -shard/-shards
-// and -peers through here).
-func startDaemon(t *testing.T, bin, listen, query, walDir string, extra ...string) *exec.Cmd {
+// drain waits for f to drain within drainDeadline.
+func drain(t *testing.T, f *fleettest.Fleet) {
 	t.Helper()
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		args := []string{
-			"-listen", listen, "-query", query,
-			"-poll", "20ms", "-batch", "8", "-timeout", "2s",
-			"-wal-dir", walDir, "-wal-fsync", "off",
-			"-checkpoint", "75ms",
-			"-trace-sample", "0",
-		}
-		args = append(args, extra...)
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout = os.Stderr // daemon logs go to the test log on -v
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if conn, err := net.DialTimeout("tcp", query, 200*time.Millisecond); err == nil {
-				conn.Close()
-				return cmd
-			}
-			if cmd.ProcessState != nil {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		cmd.Process.Kill()
-		lastErr = fmt.Errorf("daemon did not open query port %s", query)
-		cmd.Wait()
+	if err := f.Drain(drainDeadline(t)); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("startDaemon: %v", lastErr)
-	return nil
 }
 
 // drainDeadline derives the fleet-drain budget from the test binary's
@@ -175,44 +78,23 @@ func drainDeadline(t *testing.T) time.Time {
 	return time.Now().Add(30 * time.Second)
 }
 
-// queryDaemon sends one query command over TCP.
-func queryDaemon(t *testing.T, addr, command string) []string {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+// crashHarvest runs the kill harness: it starts one daemon, lets the
+// crash fleet harvest into it, kills and restarts the daemon after each
+// of kills, drains the fleet and checks the recovered digest.
+func crashHarvest(t *testing.T, kills []time.Duration) {
+	d := startCluster(t, 1, nil).Daemons[0]
+	stop := make(chan struct{})
+	defer close(stop)
+	f := fleettest.NewFleet(crashSpec, crashSpec.Reports)
+	f.Run(func(uint64) string { return d.Listen }, stop)
+	for _, wait := range kills {
+		time.Sleep(wait)
+		killRestart(t, d)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := readAll(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for _, ln := range strings.Split(raw, "\n") {
-		if ln == "" {
-			break
-		}
-		lines = append(lines, ln)
-	}
-	return lines
-}
-
-func readAll(conn net.Conn) (string, error) {
-	var b strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		b.Write(buf[:n])
-		if err != nil {
-			if b.Len() > 0 {
-				return b.String(), nil
-			}
-			return "", err
-		}
+	drain(t, f)
+	lines := query(t, d.Query, "digest")
+	if want := crashSpec.ControlDigest(); len(lines) != 1 || lines[0] != want {
+		t.Fatalf("post-recovery digest = %q, want %s\nstatus: %q", lines, want, query(t, d.Query, "status"))
 	}
 }
 
@@ -220,91 +102,15 @@ func TestCrashRecoveryDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
-	want := crashControlDigest()
-
 	for seed := uint64(1); seed <= 10; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			walDir := t.TempDir()
-			addrs := freePorts(t, 2)
-			listen, query := addrs[0], addrs[1]
-
-			// The fleet: enqueue everything up front, then let the
-			// reconnect loop ship it through the crash.
-			stop := make(chan struct{})
-			defer close(stop)
-			agents := make([]*telemetry.Agent, crashAgents)
-			key := make([]byte, 32)
-			for i := range key {
-				key[i] = 0x42 // merakid's default -key
-			}
-			for ai := 0; ai < crashAgents; ai++ {
-				a := telemetry.NewAgent(fmt.Sprintf("Q2XX-CRASH-%d", ai), key)
-				// Alternate wire versions so every recovery replays a WAL
-				// holding both record shapes: per-report v1 records and
-				// whole-batch v2 frame records.
-				if ai%2 == 0 {
-					a.Wire = telemetry.WireV2
-				}
-				a.Timeout = 2 * time.Second
-				a.BackoffBase = 20 * time.Millisecond
-				a.BackoffMax = 200 * time.Millisecond
-				for _, r := range crashReports(ai) {
-					a.Enqueue(r)
-				}
-				agents[ai] = a
-			}
-
-			d1 := startDaemon(t, bin, listen, query, walDir)
-			for _, a := range agents {
-				go a.RunWithReconnect(listen, stop)
-			}
-
 			// SIGKILL at a seeded moment mid-harvest. With -poll 20ms and
 			// 120 reports per agent in 8-report batches a full harvest
-			// takes ~300ms; the 30–400ms window below lands kills
-			// everywhere from "barely started" to "already drained".
+			// takes ~300ms; the 30–400ms window lands kills everywhere
+			// from "barely started" to "already drained".
 			delay := 30 + time.Duration(rng.New(seed).Split("kill-delay").IntN(370))
-			time.Sleep(delay * time.Millisecond)
-			if err := d1.Process.Signal(syscall.SIGKILL); err != nil {
-				t.Fatal(err)
-			}
-			d1.Wait()
-
-			d2 := startDaemon(t, bin, listen, query, walDir)
-			defer func() {
-				d2.Process.Kill()
-				d2.Wait()
-			}()
-
-			// Drained queues mean every report was acked — and merakid
-			// only acks after the WAL append and in-memory ingest.
-			deadline := drainDeadline(t)
-			for {
-				left := 0
-				for _, a := range agents {
-					left += a.QueueLen()
-				}
-				if left == 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("fleet did not drain: %d reports still queued", left)
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-
-			lines := queryDaemon(t, query, "digest")
-			if len(lines) != 1 {
-				t.Fatalf("digest query answered %q", lines)
-			}
-			if lines[0] != want {
-				status := queryDaemon(t, query, "status")
-				t.Fatalf("post-recovery digest mismatch\n got %s\nwant %s\nstatus: %v",
-					lines[0], want, status)
-			}
+			crashHarvest(t, []time.Duration{delay * time.Millisecond})
 		})
 	}
 }
@@ -316,64 +122,5 @@ func TestCrashRecoveryDoubleKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
-	want := crashControlDigest()
-	walDir := t.TempDir()
-	addrs := freePorts(t, 2)
-	listen, query := addrs[0], addrs[1]
-
-	stop := make(chan struct{})
-	defer close(stop)
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = 0x42
-	}
-	agents := make([]*telemetry.Agent, crashAgents)
-	for ai := 0; ai < crashAgents; ai++ {
-		a := telemetry.NewAgent(fmt.Sprintf("Q2XX-CRASH-%d", ai), key)
-		if ai%2 == 0 {
-			a.Wire = telemetry.WireV2
-		}
-		a.Timeout = 2 * time.Second
-		a.BackoffBase = 20 * time.Millisecond
-		a.BackoffMax = 200 * time.Millisecond
-		for _, r := range crashReports(ai) {
-			a.Enqueue(r)
-		}
-		agents[ai] = a
-	}
-
-	d := startDaemon(t, bin, listen, query, walDir)
-	for _, a := range agents {
-		go a.RunWithReconnect(listen, stop)
-	}
-	for _, wait := range []time.Duration{120 * time.Millisecond, 40 * time.Millisecond} {
-		time.Sleep(wait)
-		d.Process.Signal(syscall.SIGKILL)
-		d.Wait()
-		d = startDaemon(t, bin, listen, query, walDir)
-	}
-	defer func() {
-		d.Process.Kill()
-		d.Wait()
-	}()
-
-	deadline := drainDeadline(t)
-	for {
-		left := 0
-		for _, a := range agents {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet did not drain after double kill: %d queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	lines := queryDaemon(t, query, "digest")
-	if len(lines) != 1 || lines[0] != want {
-		t.Fatalf("digest after double kill = %q, want %s", lines, want)
-	}
+	crashHarvest(t, []time.Duration{120 * time.Millisecond, 40 * time.Millisecond})
 }

@@ -6,7 +6,7 @@
 // "save" query. Queries: status, clients, top-apps N, util, crashes,
 // anomalies, metrics, prom, series [METRIC [N]], alerts, watch,
 // digest, checkpoint, snapshot, fanout CMD, save PATH, networks,
-// extract IDS, part IDS, unpart IDS, drop IDS, absorb TOKEN IDS,
+// extract IDS, part IDS, unpart IDS, drop TOKEN IDS, absorb TOKEN IDS,
 // rebalance PEERS [TOKEN], quit; an
 // unrecognized command gets an "ERR unknown command" line back (every
 // error line starts with "ERR"). The status response includes the
@@ -661,9 +661,12 @@ func (d *daemon) acceptQueries(ln net.Listener) {
 }
 
 // serveQuery speaks a line protocol: one command per line, response
-// terminated by a blank line. Commands: status, clients, top-apps N,
-// util, crashes, anomalies, metrics, prom, series [METRIC [N]],
-// alerts, watch, trace ID|last, save PATH, quit.
+// terminated by a blank line (cluster.Query is the client). Commands:
+// status, clients, top-apps N, util, crashes, anomalies, metrics,
+// prom, series [METRIC [N]], alerts, watch, digest, checkpoint,
+// snapshot, fanout CMD, networks, extract IDS, part IDS, unpart IDS,
+// drop TOKEN IDS, absorb TOKEN IDS (followed by payload lines and a
+// blank line), rebalance PEERS [TOKEN], trace ID|last, save PATH, quit.
 // Error responses are single lines prefixed "ERR"; in particular an
 // unknown command answers "ERR unknown command" instead of closing
 // silently, so a client typo gets a diagnosis rather than a dead

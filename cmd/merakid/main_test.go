@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"wlanscale/internal/cluster"
 	"wlanscale/internal/dot11"
 	"wlanscale/internal/telemetry"
 )
@@ -28,28 +29,12 @@ func startQueryServer(t *testing.T) (*daemon, string) {
 	return d, ln.Addr().String()
 }
 
-// query sends one command and returns the response lines up to the
-// blank terminator.
-func query(t *testing.T, addr, command string) []string {
+// query sends one command — with payload lines, if any, as absorb
+// takes them — and returns the reply lines up to the blank terminator.
+func query(t *testing.T, addr, command string, payload ...string) []string {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	lines, err := cluster.Query(addr, command, payload, 10*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		if sc.Text() == "" {
-			break
-		}
-		lines = append(lines, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return lines

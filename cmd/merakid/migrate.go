@@ -111,9 +111,9 @@ func (d *daemon) queryDrop(w io.Writer, fields []string) {
 }
 
 // queryAbsorb answers "absorb TOKEN IDS" followed by the slice as
-// base64 payload lines ended by a blank line (the coordinator's
-// pushShard framing). Absorption is token-deduplicated — re-pushing
-// TOKEN answers "already" without touching the store — which is what
+// base64 payload lines ended by a blank line (cluster.Query's payload
+// framing). Absorption is token-deduplicated — re-pushing TOKEN
+// answers "already" without touching the store — which is what
 // makes the coordinator's blind retries and crash re-runs safe.
 func (d *daemon) queryAbsorb(w io.Writer, sc *bufio.Scanner, fields []string) {
 	if len(fields) < 3 {

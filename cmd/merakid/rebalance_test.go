@@ -1,18 +1,14 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
-	"net"
-	"os/exec"
 	"strconv"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
 	"wlanscale/internal/cluster"
-	"wlanscale/internal/telemetry"
+	"wlanscale/internal/fleettest"
 )
 
 // The rebalance harness: real merakid subprocesses prove the live
@@ -24,40 +20,11 @@ import (
 // absorb and cutover and proves the WAL replays the slice and its
 // dedup token.
 
-// rebalanceFleet starts 2 old shards (-shards 2, -map-epoch 1) plus
-// one destination (-shard 2/3, -map-epoch 2), each with its own WAL
-// dir, and returns the listen/query address lists.
-func rebalanceFleet(t *testing.T, bin string) (listens, queries, walDirs []string, daemons []*exec.Cmd) {
-	t.Helper()
-	ports := freePorts(t, 6)
-	listens = []string{ports[0], ports[2], ports[4]}
-	queries = []string{ports[1], ports[3], ports[5]}
-	walDirs = []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	oldPeers := strings.Join(queries[:2], ",")
-	newPeers := strings.Join(queries, ",")
-	daemons = make([]*exec.Cmd, 3)
-	for i := 0; i < 2; i++ {
-		daemons[i] = startDaemon(t, bin, listens[i], queries[i], walDirs[i],
-			"-shard", strconv.Itoa(i), "-shards", "2", "-peers", oldPeers, "-map-epoch", "1")
-	}
-	daemons[2] = startDaemon(t, bin, listens[2], queries[2], walDirs[2],
-		"-shard", "2", "-shards", "3", "-peers", newPeers, "-map-epoch", "2")
-	t.Cleanup(func() {
-		for _, d := range daemons {
-			if d != nil && d.ProcessState == nil {
-				d.Process.Kill()
-				d.Wait()
-			}
-		}
-	})
-	return listens, queries, walDirs, daemons
-}
-
 // movedNetworks splits the test networks by whether the 2->3 jump-map
 // growth rehomes them.
 func movedNetworks() (moved, kept []uint64) {
 	oldMap, newMap := cluster.NewMap(2), cluster.NewMap(3)
-	for n := 0; n < clusterNetworks; n++ {
+	for n := 0; n < clusterSpec.Networks; n++ {
 		id := uint64(100 + n)
 		if oldMap.Shard(id) != newMap.Shard(id) {
 			moved = append(moved, id)
@@ -68,97 +35,12 @@ func movedNetworks() (moved, kept []uint64) {
 	return moved, kept
 }
 
-func newRebalanceAgents() []*telemetry.Agent {
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = 0x42
-	}
-	var agents []*telemetry.Agent
-	ai := 0
-	for n := 0; n < clusterNetworks; n++ {
-		netID := uint64(100 + n)
-		for ap := 0; ap < clusterAPsPerNet; ap++ {
-			a := telemetry.NewAgent(fmt.Sprintf("Q2CL-%03d-%d", netID, ap), key)
-			if ai%2 == 0 {
-				a.Wire = telemetry.WireV2
-			}
-			a.Timeout = 2 * time.Second
-			a.BackoffBase = 20 * time.Millisecond
-			a.BackoffMax = 200 * time.Millisecond
-			for _, r := range clusterFleetReports(netID, ap) {
-				a.Enqueue(r)
-			}
-			agents = append(agents, a)
-			ai++
-		}
-	}
-	return agents
-}
-
-func agentNet(a *telemetry.Agent) uint64 {
-	id, _ := strconv.ParseUint(strings.Split(a.Serial, "-")[1], 10, 64)
-	return id
-}
-
-func drainAgents(t *testing.T, agents []*telemetry.Agent) {
-	t.Helper()
-	deadline := drainDeadline(t)
-	for {
-		left := 0
-		for _, a := range agents {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet did not drain: %d reports still queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 func idCSV(ids []uint64) string {
 	parts := make([]string, len(ids))
 	for i, id := range ids {
 		parts[i] = strconv.FormatUint(id, 10)
 	}
 	return strings.Join(parts, ",")
-}
-
-// pushDaemon sends a payload-carrying command (absorb): header line,
-// payload lines, blank terminator, quit — and returns the response
-// lines.
-func pushDaemon(t *testing.T, addr, header string, payload []string) []string {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	w := bufio.NewWriter(conn)
-	fmt.Fprintln(w, header)
-	for _, ln := range payload {
-		fmt.Fprintln(w, ln)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "quit")
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := readAll(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for _, ln := range strings.Split(raw, "\n") {
-		if ln == "" {
-			break
-		}
-		lines = append(lines, ln)
-	}
-	return lines
 }
 
 // TestRebalanceMidHarvestDigest grows a live 2-shard cluster to 3
@@ -171,9 +53,8 @@ func TestRebalanceMidHarvestDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess rebalance harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
-	want := clusterControlDigest()
-	listens, queries, _, _ := rebalanceFleet(t, bin)
+	c := startCluster(t, 3, fleettest.GrowFlags(2))
+	queries := c.Queries()
 	moved, kept := movedNetworks()
 	if len(moved) == 0 || len(kept) == 0 {
 		t.Fatalf("test fleet must both move and keep networks (moved=%v kept=%v)", moved, kept)
@@ -188,19 +69,19 @@ func TestRebalanceMidHarvestDigest(t *testing.T) {
 	stopAll := make(chan struct{})
 	stopOldHome := make(chan struct{})
 	defer close(stopAll)
-	agents := newRebalanceAgents()
-	for _, a := range agents {
+	f := fleettest.NewFleet(clusterSpec, clusterSpec.Reports)
+	for i, a := range f.Agents {
 		stop := stopAll
-		if movedSet[agentNet(a)] {
+		if movedSet[f.Nets[i]] {
 			stop = stopOldHome // these flip after the cutover
 		}
-		go a.RunWithReconnect(listens[oldMap.Shard(agentNet(a))], stop)
+		go a.RunWithReconnect(c.Daemons[oldMap.Shard(f.Nets[i])].Listen, stop)
 	}
 	time.Sleep(80 * time.Millisecond) // mid-harvest
 
 	// The one-command migration, run on shard 0. Its default token is
 	// derived from -map-epoch and the shard counts.
-	lines := queryDaemon(t, queries[0], "rebalance "+strings.Join(queries, ","))
+	lines := query(t, queries[0], "rebalance "+strings.Join(queries, ","))
 	if len(lines) == 0 {
 		t.Fatal("rebalance query answered nothing")
 	}
@@ -215,26 +96,18 @@ func TestRebalanceMidHarvestDigest(t *testing.T) {
 	// Flip: moved networks' agents re-home to the new topology and
 	// deliver their requeued tails there.
 	close(stopOldHome)
-	for _, a := range agents {
-		if movedSet[agentNet(a)] {
-			go a.RunWithReconnect(listens[newMap.Shard(agentNet(a))], stopAll)
+	for i, a := range f.Agents {
+		if movedSet[f.Nets[i]] {
+			go a.RunWithReconnect(c.Daemons[newMap.Shard(f.Nets[i])].Listen, stopAll)
 		}
 	}
-	drainAgents(t, agents)
-
-	r := &cluster.Router{Shards: queries, Timeout: 5 * time.Second}
-	dig, err := r.MergedDigest()
-	if err != nil {
-		t.Fatalf("merged digest: %v", err)
-	}
-	if dig.Degraded || dig.Digest != want {
-		t.Fatalf("rebalanced cluster digest\n got %s (degraded=%v)\nwant %s", dig.Digest, dig.Degraded, want)
-	}
+	drain(t, f)
+	mergedDigest(t, queries, clusterSpec.ControlDigest())
 
 	// Moved networks are gone from the old shards and parted there, so
 	// a straggler agent on the old map cannot resurrect them.
 	for i := 0; i < 2; i++ {
-		for _, ln := range queryDaemon(t, queries[i], "networks") {
+		for _, ln := range query(t, queries[i], "networks") {
 			id, err := strconv.ParseUint(ln, 10, 64)
 			if err != nil {
 				t.Fatalf("networks line %q", ln)
@@ -244,13 +117,13 @@ func TestRebalanceMidHarvestDigest(t *testing.T) {
 			}
 		}
 	}
-	status := strings.Join(queryDaemon(t, queries[0], "status"), "\n")
+	status := strings.Join(query(t, queries[0], "status"), "\n")
 	if !strings.Contains(status, "rebalance parted=") {
 		t.Fatalf("source status does not show parted networks:\n%s", status)
 	}
 
 	// The runbook's convergence check: a re-run finds nothing to move.
-	lines = queryDaemon(t, queries[0], "rebalance "+strings.Join(queries, ","))
+	lines = query(t, queries[0], "rebalance "+strings.Join(queries, ","))
 	verdict = lines[len(lines)-1]
 	if !strings.Contains(verdict, " moved=0 ") {
 		t.Fatalf("re-run verdict = %q, want moved=0", verdict)
@@ -266,20 +139,17 @@ func TestRebalanceKillDuringMigration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess rebalance harness; skipped in -short")
 	}
-	bin := buildMerakid(t)
-	want := clusterControlDigest()
-	listens, queries, walDirs, daemons := rebalanceFleet(t, bin)
+	c := startCluster(t, 3, fleettest.GrowFlags(2))
+	queries := c.Queries()
 	moved, _ := movedNetworks()
 
 	// Drain the whole fleet into the old topology first: the kill is
 	// aimed at the migration machinery, not the harvest.
 	oldMap := cluster.NewMap(2)
 	stop := make(chan struct{})
-	agents := newRebalanceAgents()
-	for _, a := range agents {
-		go a.RunWithReconnect(listens[oldMap.Shard(agentNet(a))], stop)
-	}
-	drainAgents(t, agents)
+	f := fleettest.NewFleet(clusterSpec, clusterSpec.Reports)
+	f.Run(func(net uint64) string { return c.Daemons[oldMap.Shard(net)].Listen }, stop)
+	drain(t, f)
 	close(stop)
 
 	// Act as a coordinator that dies between absorb and cutover: part
@@ -295,49 +165,37 @@ func TestRebalanceKillDuringMigration(t *testing.T) {
 		t.Fatalf("no moved networks on shard 0 (moved=%v)", moved)
 	}
 	const token = "killtest"
-	if lines := queryDaemon(t, queries[0], "part "+idCSV(src0)); len(lines) != 1 || !strings.HasPrefix(lines[0], "parted") {
+	if lines := query(t, queries[0], "part "+idCSV(src0)); len(lines) != 1 || !strings.HasPrefix(lines[0], "parted") {
 		t.Fatalf("part answered %q", lines)
 	}
-	slice := queryDaemon(t, queries[0], "extract "+idCSV(src0))
+	slice := query(t, queries[0], "extract "+idCSV(src0))
 	if len(slice) == 0 || strings.HasPrefix(slice[0], "ERR") {
 		t.Fatalf("extract answered %q", slice)
 	}
 	header := fmt.Sprintf("absorb %s.s0d2 %s", token, idCSV(src0))
-	if lines := pushDaemon(t, queries[2], header, slice); len(lines) != 1 || !strings.HasPrefix(lines[0], "absorbed") {
+	if lines := query(t, queries[2], header, slice...); len(lines) != 1 || !strings.HasPrefix(lines[0], "absorbed") {
 		t.Fatalf("absorb answered %q", lines)
 	}
 
 	// SIGKILL the destination mid-migration and restart it over its
 	// WAL. The absorbed slice was never checkpointed — recovery must
 	// replay it, token and all.
-	if err := daemons[2].Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	daemons[2].Wait()
-	daemons[2] = startDaemon(t, bin, listens[2], queries[2], walDirs[2],
-		"-shard", "2", "-shards", "3", "-peers", strings.Join(queries, ","), "-map-epoch", "2")
+	killRestart(t, c.Daemons[2])
 
-	if lines := pushDaemon(t, queries[2], header, slice); len(lines) != 1 || !strings.HasPrefix(lines[0], "already") {
+	if lines := query(t, queries[2], header, slice...); len(lines) != 1 || !strings.HasPrefix(lines[0], "already") {
 		t.Fatalf("post-recovery re-absorb answered %q, want already (WAL lost the token)", lines)
 	}
 
 	// The crashed coordinator's re-run, same token: pair s0d2 dedups,
 	// pair s1d2 absorbs fresh, verify gates, sources cut over.
-	lines := queryDaemon(t, queries[0], fmt.Sprintf("rebalance %s %s", strings.Join(queries, ","), token))
+	lines := query(t, queries[0], fmt.Sprintf("rebalance %s %s", strings.Join(queries, ","), token))
 	verdict := lines[len(lines)-1]
 	if !strings.HasPrefix(verdict, "rebalanced token="+token+" ") {
 		t.Fatalf("rebalance verdict = %q (full: %q)", verdict, lines)
 	}
 
-	r := &cluster.Router{Shards: queries, Timeout: 5 * time.Second}
-	dig, err := r.MergedDigest()
-	if err != nil {
-		t.Fatalf("merged digest: %v", err)
-	}
-	if dig.Degraded || dig.Digest != want {
-		t.Fatalf("post-kill rebalance digest\n got %s (degraded=%v)\nwant %s", dig.Digest, dig.Degraded, want)
-	}
-	status := strings.Join(queryDaemon(t, queries[2], "status"), "\n")
+	mergedDigest(t, queries, clusterSpec.ControlDigest())
+	status := strings.Join(query(t, queries[2], "status"), "\n")
 	if !strings.Contains(status, "absorbed=2") {
 		t.Fatalf("destination status after recovery:\n%s\nwant 2 absorb tokens", status)
 	}

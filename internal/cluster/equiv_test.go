@@ -190,7 +190,7 @@ func TestClusterDigestEquivalence(t *testing.T) {
 				harvestInto(t, stores[m.Shard(st.NetID)], wire, st)
 			}
 
-			r, _ := startShards(t, stores)
+			r := startShards(t, stores)
 			r.Timeout = 10 * time.Second
 			dig, err := r.MergedDigest()
 			if err != nil {

@@ -51,26 +51,20 @@ func servePromShard(ln net.Listener, reg *obs.Registry) {
 }
 
 // startPromShards serves one registry per shard and returns the router
-// plus listeners (close one to take its shard down).
-func startPromShards(t *testing.T, regs []*obs.Registry) (*Router, []net.Listener) {
+// over them.
+func startPromShards(t *testing.T, regs []*obs.Registry) *Router {
 	t.Helper()
-	lns := make([]net.Listener, len(regs))
 	addrs := make([]string, len(regs))
 	for i, reg := range regs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
+		t.Cleanup(func() { ln.Close() })
 		addrs[i] = ln.Addr().String()
 		servePromShard(ln, reg)
 	}
-	t.Cleanup(func() {
-		for _, ln := range lns {
-			ln.Close()
-		}
-	})
-	return &Router{Shards: addrs, Timeout: 5 * time.Second}, lns
+	return &Router{Shards: addrs, Timeout: 5 * time.Second}
 }
 
 // TestFanoutMetricsMergesShards: N shards scrape into one exposition,
@@ -82,7 +76,7 @@ func TestFanoutMetricsMergesShards(t *testing.T) {
 		regs[i].Counter("store.ingests").Add(int64(10 * (i + 1)))
 		regs[i].Gauge("pool.devices").Set(int64(i))
 	}
-	r, _ := startPromShards(t, regs)
+	r := startPromShards(t, regs)
 
 	merged, replies := r.FanoutMetrics()
 	if NumDown(replies) != 0 {
@@ -129,7 +123,7 @@ func TestFanoutMetricsMergesShards(t *testing.T) {
 func TestFanoutMetricsHistogramLabels(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Histogram("flush_us", []int64{10, 100}).Observe(50)
-	r, _ := startPromShards(t, []*obs.Registry{reg})
+	r := startPromShards(t, []*obs.Registry{reg})
 
 	merged, _ := r.FanoutMetrics()
 	for _, want := range []string{
@@ -153,8 +147,8 @@ func TestFanoutMetricsPartialOnShardDown(t *testing.T) {
 	for i, reg := range regs {
 		reg.Counter("store.ingests").Add(int64(i + 1))
 	}
-	r, lns := startPromShards(t, regs)
-	lns[1].Close()
+	r := startPromShards(t, regs)
+	r.Shards[1] = downShard(t)
 	r.Timeout = 500 * time.Millisecond
 
 	merged, replies := r.FanoutMetrics()
@@ -208,8 +202,8 @@ func TestMergePromUntypedFallback(t *testing.T) {
 // shards as DOWN lines.
 func TestFanoutSeriesAndMerge(t *testing.T) {
 	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
-	r, lns := startPromShards(t, regs)
-	lns[1].Close()
+	r := startPromShards(t, regs)
+	r.Shards[1] = downShard(t)
 	r.Timeout = 500 * time.Millisecond
 
 	lines := MergeSeriesLines(r.FanoutSeries("store.ingests", 2))

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -234,13 +232,13 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	sort.Ints(srcs)
 	unpartAll := func() {
 		for _, src := range srcs {
-			if _, err := shardReply(oldR.queryShard(src, "unpart "+idList(bySrc[src]))); err != nil {
+			if _, err := shardReply(oldR.queryShard(src, "unpart "+idList(bySrc[src]), nil)); err != nil {
 				o.logf("rebalance: rollback: %v", err)
 			}
 		}
 	}
 	for _, src := range srcs {
-		if _, err := shardReply(oldR.queryShard(src, "part "+idList(bySrc[src]))); err != nil {
+		if _, err := shardReply(oldR.queryShard(src, "part "+idList(bySrc[src]), nil)); err != nil {
 			unpartAll()
 			return nil, fmt.Errorf("cluster: part: %w", err)
 		}
@@ -250,7 +248,7 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	pre := backend.NewStore()
 	slices := make(map[[2]int][]string, len(pairs))
 	for _, p := range pairs {
-		lines, err := shardReply(oldR.queryShard(p[0], "extract "+idList(groups[p])))
+		lines, err := shardReply(oldR.queryShard(p[0], "extract "+idList(groups[p]), nil))
 		if err != nil {
 			unpartAll()
 			return nil, fmt.Errorf("cluster: extract: %w", err)
@@ -274,21 +272,20 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	pairToken := func(p [2]int) string { return fmt.Sprintf("%s.s%dd%d", token, p[0], p[1]) }
 	dropAbsorbed := func() {
 		for _, p := range pairs {
-			if _, err := shardReply(newR.queryShard(p[1], fmt.Sprintf("drop %s %s", pairToken(p), idList(groups[p])))); err != nil {
+			if _, err := shardReply(newR.queryShard(p[1], fmt.Sprintf("drop %s %s", pairToken(p), idList(groups[p])), nil)); err != nil {
 				o.logf("rebalance: rollback: %v", err)
 			}
 		}
 	}
 	for _, p := range pairs {
 		header := fmt.Sprintf("absorb %s %s", pairToken(p), idList(groups[p]))
-		lines, err := pushShard(newAddrs[p[1]], p[1], header, slices[p], o)
-		if err == nil && len(lines) > 0 && strings.HasPrefix(lines[0], "ERR") {
-			err = fmt.Errorf("%s", lines[0])
-		}
+		// Absorption is token-deduplicated daemon-side, so the retry
+		// loop may re-push blindly.
+		lines, err := shardReply(newR.queryShard(p[1], header, slices[p]))
 		if err != nil {
 			dropAbsorbed()
 			unpartAll()
-			return nil, fmt.Errorf("cluster: absorb on shard %d (%s): %w", p[1], newAddrs[p[1]], err)
+			return nil, fmt.Errorf("cluster: absorb: %w", err)
 		}
 		o.logf("rebalance: shard %d %s", p[1], strings.Join(lines, " "))
 	}
@@ -297,7 +294,7 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	// digest identically to what the sources exported.
 	post := backend.NewStore()
 	for _, p := range pairs {
-		lines, err := shardReply(newR.queryShard(p[1], "extract "+idList(groups[p])))
+		lines, err := shardReply(newR.queryShard(p[1], "extract "+idList(groups[p]), nil))
 		if err != nil {
 			dropAbsorbed()
 			unpartAll()
@@ -326,7 +323,7 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	// there, so an old-map agent that has not re-routed yet cannot
 	// rebuild a dropped network on its former home.
 	for _, src := range srcs {
-		lines, err := shardReply(oldR.queryShard(src, fmt.Sprintf("drop %s.s%d %s", token, src, idList(bySrc[src]))))
+		lines, err := shardReply(oldR.queryShard(src, fmt.Sprintf("drop %s.s%d %s", token, src, idList(bySrc[src])), nil))
 		if err != nil {
 			return rep, fmt.Errorf("cluster: drop on shard %d after verified absorb: %w (destinations hold the data; re-run to finish the cutover)", src, err)
 		}
@@ -340,68 +337,4 @@ func Rebalance(oldAddrs, newAddrs []string, o RebalanceOptions) (*RebalanceRepor
 	}
 	o.logf("rebalance: done; new-topology digest %s degraded=%v", full.Digest[:12], full.Degraded)
 	return rep, nil
-}
-
-// pushShard is queryShard's payload-carrying sibling: send a header
-// line plus payload lines ended by a blank line, then read the
-// blank-line-terminated response, with the same retry schedule.
-// Absorption is token-deduplicated daemon-side, so blind retries are
-// safe.
-func pushShard(addr string, shard int, header string, payload []string, o RebalanceOptions) ([]string, error) {
-	base := o.BackoffBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max := o.BackoffMax
-	if max <= 0 {
-		max = time.Second
-	}
-	r := o.router(nil)
-	attempts := r.attempts()
-	waits := retrySchedule(shard, addr, base, max, attempts)
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(waits[attempt-1])
-		}
-		lines, err := pushOnce(addr, header, payload, o.timeout())
-		if err == nil {
-			return lines, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-func pushOnce(addr, header string, payload []string, timeout time.Duration) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	w := bufio.NewWriter(conn)
-	fmt.Fprintln(w, header)
-	for _, ln := range payload {
-		fmt.Fprintln(w, ln)
-	}
-	fmt.Fprintln(w) // blank line ends the payload
-	fmt.Fprintln(w, "quit")
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	var lines []string
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		ln := sc.Text()
-		if ln == "" {
-			return lines, nil
-		}
-		lines = append(lines, ln)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("%w after %d lines from %s", ErrTruncated, len(lines), addr)
 }

@@ -232,13 +232,7 @@ func TestRebalanceNeedsEveryShard(t *testing.T) {
 	streams := clusterReports(7, 6)
 	oldStores := shardStores(2, streams)
 	oldAddrs, newAddrs, _ := startFleet(t, oldStores, 1)
-	down, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	downAddr := down.Addr().String()
-	down.Close()
-	brokenOld := []string{oldAddrs[0], downAddr}
+	brokenOld := []string{oldAddrs[0], downShard(t)}
 	o := rebalanceOpts("t")
 	o.Retries = -1
 	o.Timeout = 500 * time.Millisecond

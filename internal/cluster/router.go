@@ -124,7 +124,7 @@ func (r *Router) Fanout(cmd string) []Reply {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			replies[i] = r.queryShard(i, cmd)
+			replies[i] = r.queryShard(i, cmd, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -191,10 +191,10 @@ func (r *Router) shardErr(i int) {
 	}
 }
 
-// queryShard runs one shard's retry loop: dial, send cmd, read the
-// blank-line-terminated response, with the jittered capped backoff of
-// retrySchedule between attempts.
-func (r *Router) queryShard(i int, cmd string) Reply {
+// queryShard runs one shard's retry loop: Query with cmd (and payload,
+// for the migration commands that carry one), with the jittered capped
+// backoff of retrySchedule between attempts.
+func (r *Router) queryShard(i int, cmd string, payload []string) Reply {
 	rep := Reply{Shard: i, Addr: r.Shards[i]}
 	base := r.BackoffBase
 	if base <= 0 {
@@ -211,7 +211,7 @@ func (r *Router) queryShard(i int, cmd string) Reply {
 			time.Sleep(waits[attempt-1])
 		}
 		rep.Attempts++
-		lines, err := queryOnce(rep.Addr, cmd, r.timeout())
+		lines, err := Query(rep.Addr, cmd, payload, r.timeout())
 		if err == nil {
 			rep.Lines, rep.Err = lines, nil
 			return rep
@@ -222,27 +222,39 @@ func (r *Router) queryShard(i int, cmd string) Reply {
 	return rep
 }
 
-// ErrTruncated marks a shard response whose connection closed before
-// the blank-line terminator arrived: the lines read so far may be a
-// prefix of the real answer, so they must be thrown away and the
-// attempt retried, never merged. (A snapshot missing its tail would
-// otherwise fold into a merged digest as if the shard held less data —
-// the silent-loss mode the rebalance verify gate exists to rule out.)
+// ErrTruncated marks a reply whose connection closed before the
+// blank-line terminator arrived: the lines read so far may be a prefix
+// of the real answer, so they must be thrown away and the attempt
+// retried, never merged. (A snapshot missing its tail would otherwise
+// fold into a merged digest as if the shard held less data — the
+// silent-loss mode the rebalance verify gate exists to rule out.)
 var ErrTruncated = errors.New("cluster: truncated response (connection closed before terminator)")
 
-// queryOnce is one attempt of the line protocol merakid's query port
-// speaks: send the command plus "quit", read lines until the blank
-// terminator. The deadline covers the whole exchange. A response
-// without its terminator — clean EOF included — is an error, not a
-// short answer.
-func queryOnce(addr, cmd string, timeout time.Duration) ([]string, error) {
+// Query is one exchange of the line protocol merakid's query port
+// speaks: send cmd, then — when payload is non-nil — the payload lines
+// and a blank line ending them, then "quit"; read the reply lines up
+// to the blank terminator. The deadline covers the whole exchange. A
+// reply without its terminator — clean EOF included — returns
+// ErrTruncated, never a short answer. Every client of the query port
+// (router, rebalance coordinator, apstat, the fleet harness) speaks
+// through here.
+func Query(addr, cmd string, payload []string, timeout time.Duration) ([]string, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", cmd); err != nil {
+	w := bufio.NewWriter(conn)
+	fmt.Fprintln(w, cmd)
+	if payload != nil {
+		for _, ln := range payload {
+			fmt.Fprintln(w, ln)
+		}
+		fmt.Fprintln(w) // blank line ends the payload
+	}
+	fmt.Fprintln(w, "quit")
+	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	var lines []string

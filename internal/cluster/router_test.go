@@ -123,31 +123,50 @@ func serveStore(ln net.Listener, shard int, s *backend.Store) {
 }
 
 // startShards serves each store on a loopback listener and returns the
-// router plus the listeners (close one to take its shard down).
-func startShards(t *testing.T, stores []*backend.Store) (*Router, []net.Listener) {
+// router over them.
+func startShards(t *testing.T, stores []*backend.Store) *Router {
 	t.Helper()
-	lns := make([]net.Listener, len(stores))
 	addrs := make([]string, len(stores))
 	for i, s := range stores {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
+		t.Cleanup(func() { ln.Close() })
 		addrs[i] = ln.Addr().String()
 		serveStore(ln, i, s)
 	}
-	t.Cleanup(func() {
-		for _, ln := range lns {
-			ln.Close()
+	return &Router{Shards: addrs, Timeout: 5 * time.Second}
+}
+
+// downShard returns the address of a shard that is down for good. It
+// keeps its port for the whole test — a closed listener's port could
+// be bound meanwhile by a merakid from another package's test, which
+// would then answer in the dead shard's place — and closes every
+// connection at once, so each query fails as truncated or reset and
+// the router marks the shard DOWN.
+func downShard(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
 		}
-	})
-	return &Router{Shards: addrs, Timeout: 5 * time.Second}, lns
+	}()
+	return ln.Addr().String()
 }
 
 func TestFanoutDigest(t *testing.T) {
 	stores := shardStores(4, clusterReports(1, 6))
-	r, _ := startShards(t, stores)
+	r := startShards(t, stores)
 	replies := r.Fanout("digest")
 	if len(replies) != 4 {
 		t.Fatalf("got %d replies", len(replies))
@@ -172,7 +191,7 @@ func TestFanoutDigest(t *testing.T) {
 }
 
 func TestFanoutErrLineIsNotAnError(t *testing.T) {
-	r, _ := startShards(t, shardStores(2, nil))
+	r := startShards(t, shardStores(2, nil))
 	replies := r.Fanout("no-such-command")
 	for _, rep := range replies {
 		if rep.Err != nil {
@@ -296,17 +315,7 @@ func TestScatterGatherPartialResults(t *testing.T) {
 }
 
 func TestMergedDigestAllDown(t *testing.T) {
-	// Addresses from closed listeners: every shard refuses outright.
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, ln.Addr().String())
-		ln.Close()
-	}
-	r := &Router{Shards: addrs, Timeout: 500 * time.Millisecond, Retries: -1}
+	r := &Router{Shards: []string{downShard(t), downShard(t)}, Timeout: 500 * time.Millisecond, Retries: -1}
 	dig, err := r.MergedDigest()
 	if err == nil {
 		t.Fatal("all-down cluster produced a digest")

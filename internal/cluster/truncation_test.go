@@ -41,6 +41,10 @@ func serveTruncating(ln net.Listener, s *backend.Store, drops int32, lines int) 
 						w.Flush()
 						return
 					}
+					if fields[0] == "absorb" {
+						for sc.Scan() && sc.Text() != "" {
+						} // the payload, up to its blank line
+					}
 					if truncate {
 						for i := 0; i < lines; i++ {
 							fmt.Fprintf(w, "line %d of a response that never finishes\n", i)
@@ -61,23 +65,34 @@ func serveTruncating(ln net.Listener, s *backend.Store, drops int32, lines int) 
 // TestQueryOnceTruncated is the regression test for the scatter-gather
 // truncation bug: a connection that closes before the blank-line
 // terminator must surface ErrTruncated, never the partial lines as a
-// short success.
+// short success — for a bare command and for one carrying a payload
+// (the absorb push of a rebalance).
 func TestQueryOnceTruncated(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	serveTruncating(ln, backend.NewStore(), 1<<30, 3)
-	lines, err := queryOnce(ln.Addr().String(), "digest", 2*time.Second)
-	if err == nil {
-		t.Fatalf("truncated response returned success with %d lines", len(lines))
-	}
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated response error = %v, want ErrTruncated", err)
-	}
-	if lines != nil {
-		t.Fatalf("truncated response leaked partial lines: %q", lines)
+	for _, tc := range []struct {
+		name, cmd string
+		payload   []string
+	}{
+		{"command", "digest", nil},
+		{"payload", "absorb tok.s0d1 100", []string{"c2xpY2Ugb25l", "c2xpY2UgdHdv"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			serveTruncating(ln, backend.NewStore(), 1<<30, 3)
+			lines, err := Query(ln.Addr().String(), tc.cmd, tc.payload, 2*time.Second)
+			if err == nil {
+				t.Fatalf("truncated response returned success with %d lines", len(lines))
+			}
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("truncated response error = %v, want ErrTruncated", err)
+			}
+			if lines != nil {
+				t.Fatalf("truncated response leaked partial lines: %q", lines)
+			}
+		})
 	}
 }
 
@@ -115,22 +130,16 @@ func TestFanoutRetriesTruncation(t *testing.T) {
 // down for good is dialed exactly Retries+1 times and the reply says
 // so.
 func TestAttemptsMatchBudget(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // nothing listens: every dial fails fast
 	r := &Router{
-		Shards:      []string{addr},
+		Shards:      []string{downShard(t)},
 		Timeout:     500 * time.Millisecond,
 		Retries:     3,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  2 * time.Millisecond,
 	}
-	rep := r.queryShard(0, "digest")
+	rep := r.queryShard(0, "digest", nil)
 	if rep.Err == nil {
-		t.Fatal("dial to a closed listener succeeded")
+		t.Fatal("query to a down shard succeeded")
 	}
 	if rep.Attempts != 4 {
 		t.Fatalf("Attempts = %d, want Retries+1 = 4", rep.Attempts)
@@ -193,16 +202,7 @@ func equalWaits(a, b []time.Duration) bool {
 // (what the rebalance coordinator does) must degrade to not counting
 // the new shards, not index out of range.
 func TestShardErrGuardAfterRetarget(t *testing.T) {
-	lns := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close() // both down, so every shard takes the error path
-	}
+	addrs := []string{downShard(t), downShard(t)} // every shard takes the error path
 	r := &Router{Shards: addrs[:1], Timeout: 200 * time.Millisecond, Retries: -1}
 	r.EnableObs(obs.NewRegistry())
 	r.Shards = addrs // grown after EnableObs
@@ -212,7 +212,7 @@ func TestShardErrGuardAfterRetarget(t *testing.T) {
 	}
 	for i, rep := range replies {
 		if rep.Err == nil {
-			t.Fatalf("closed shard %d reported success", i)
+			t.Fatalf("down shard %d reported success", i)
 		}
 	}
 }

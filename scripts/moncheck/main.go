@@ -1,5 +1,5 @@
 // Command moncheck is the monitoring-stack smoke gate (`make
-// mon-smoke`): it builds merakid, spawns a 2-shard cluster on a fast
+// mon-smoke`): it spawns a 2-shard merakid cluster on a fast
 // observability cadence (-series-every 100ms, -health-for 2), harvests
 // a clean agent fleet, then degrades shard 1 with faultnet-corrupted
 // chaos agents and checks the full alert lifecycle from the operator's
@@ -29,98 +29,23 @@ import (
 	"strings"
 	"time"
 
-	"wlanscale/internal/dot11"
+	"wlanscale/internal/cluster"
 	"wlanscale/internal/faultnet"
-	"wlanscale/internal/telemetry"
+	"wlanscale/internal/fleettest"
 )
 
-const defaultKey = 0x42 // matches merakid's default -key (64 hex '42's)
-
-func freePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-func startShard(bin, listen, query, debug string, shard, shards int, peers string) (*exec.Cmd, error) {
-	args := []string{
-		"-listen", listen, "-query", query,
-		"-poll", "20ms", "-batch", "8", "-timeout", "500ms",
-		"-trace-sample", "0",
-		"-series-every", "100ms", "-series-cap", "256",
-		"-health-for", "2", "-health-for-ok", "2",
-		"-shard", strconv.Itoa(shard), "-shards", strconv.Itoa(shards),
-		"-peers", peers,
-	}
-	if debug != "" {
-		args = append(args, "-debug", debug)
-	}
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if conn, err := net.DialTimeout("tcp", query, 200*time.Millisecond); err == nil {
-			conn.Close()
-			return cmd, nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	return nil, fmt.Errorf("shard %d did not open query port %s", shard, query)
-}
-
-func queryLines(addr, command string) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		b.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	var lines []string
-	for _, ln := range strings.Split(b.String(), "\n") {
-		if ln == "" {
-			break
-		}
-		lines = append(lines, ln)
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("empty reply to %q", command)
-	}
-	return lines, nil
+// monFlags puts a shard on the fast observability cadence the gate
+// needs to see an alert fire and resolve within seconds.
+var monFlags = []string{
+	"-timeout", "500ms",
+	"-series-every", "100ms", "-series-cap", "256",
+	"-health-for", "2", "-health-for-ok", "2",
 }
 
 // alertState returns one rule's reported state on a shard ("ok",
 // "pending", "firing").
 func alertState(query, rule string) (string, error) {
-	lines, err := queryLines(query, "alerts")
+	lines, err := cluster.Query(query, "alerts", nil, 5*time.Second)
 	if err != nil {
 		return "", err
 	}
@@ -154,7 +79,7 @@ func waitForState(query, rule, want string, deadline time.Duration) error {
 
 // metricValue reads one scalar from a shard's "metrics" reply.
 func metricValue(query, name string) (int64, error) {
-	lines, err := queryLines(query, "metrics")
+	lines, err := cluster.Query(query, "metrics", nil, 5*time.Second)
 	if err != nil {
 		return 0, err
 	}
@@ -168,118 +93,64 @@ func metricValue(query, name string) (int64, error) {
 	return 0, fmt.Errorf("metric %q missing", name)
 }
 
-// report builds one minimal well-formed harvest report.
-func report(serial string, i int) *telemetry.Report {
-	return &telemetry.Report{
-		Serial:    serial,
-		Timestamp: uint64(1700000000 + i),
-		SeqNo:     uint64(i + 1),
-		Clients: []telemetry.ClientRecord{{
-			MAC:  dot11.MAC{0x02, 0xc6, 0x09, 0x00, 0x00, byte(i)},
-			Band: dot11.Band5,
-		}},
-	}
-}
-
-// startAgents launches n agents against one shard's device listener.
-// With corrupt set, each agent's connections pass through a faultnet
-// wrapper that corrupts every I/O op — the daemon sees a stream of MAC
-// failures, never a valid session.
-func startAgents(listen string, n int, serialPrefix string, corrupt bool, stop chan struct{}) []*telemetry.Agent {
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = defaultKey
-	}
-	agents := make([]*telemetry.Agent, n)
-	for i := 0; i < n; i++ {
-		a := telemetry.NewAgent(fmt.Sprintf("%s-%02d", serialPrefix, i), key)
+// startChaos launches n agents against one shard's device listener
+// whose connections pass through a faultnet wrapper that corrupts
+// every I/O op — the daemon sees a stream of MAC failures, never a
+// valid session.
+func startChaos(listen string, n int, stop chan struct{}) {
+	f := fleettest.NewFleet(fleettest.Spec{Networks: 1, APs: n, Reports: 20}, 20)
+	for i, a := range f.Agents {
 		a.Timeout = 500 * time.Millisecond
 		a.BackoffBase = 10 * time.Millisecond
 		a.BackoffMax = 50 * time.Millisecond
-		if corrupt {
-			plan := faultnet.Plan{
-				Seed:        uint64(1000 + i),
-				Corrupt:     []faultnet.Window{{From: 0, To: 1 << 30}},
-				CorruptProb: 1.0,
-			}
-			idx := i
-			a.Dial = func(addr string) (net.Conn, error) {
-				c, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				return faultnet.WrapConn(c, plan, idx), nil
-			}
+		plan := faultnet.Plan{
+			Seed:        uint64(1000 + i),
+			Corrupt:     []faultnet.Window{{From: 0, To: 1 << 30}},
+			CorruptProb: 1.0,
 		}
-		for r := 0; r < 20; r++ {
-			a.Enqueue(report(fmt.Sprintf("%s-%02d", serialPrefix, i), r))
+		a.Dial = func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return faultnet.WrapConn(c, plan, i), nil
 		}
-		agents[i] = a
-		go a.RunWithReconnect(listen, stop)
 	}
-	return agents
+	f.Run(func(uint64) string { return listen }, stop)
 }
 
 func run() error {
-	tmp, err := os.MkdirTemp("", "moncheck-*")
+	bin, err := fleettest.Build("merakid")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(tmp)
-
-	bin := filepath.Join(tmp, "merakid")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/merakid").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build: %v\n%s", err, out)
-	}
+	defer os.RemoveAll(filepath.Dir(bin))
 	const shards = 2
-	ports, err := freePorts(2*shards + 1)
+	c, err := fleettest.Start(fleettest.Config{
+		Bin: bin, Daemons: shards, Spare: 1,
+		Flags: func(i int, c *fleettest.Cluster) []string {
+			fl := append(fleettest.ShardFlags(i, c), monFlags...)
+			if i == 0 {
+				fl = append(fl, "-debug", c.Spare[0])
+			}
+			return fl
+		},
+	})
 	if err != nil {
 		return err
 	}
-	listens := []string{ports[0], ports[2]}
-	queries := []string{ports[1], ports[3]}
-	debugAddr := ports[4]
-	peers := strings.Join(queries, ",")
+	defer c.Stop()
+	queries := c.Queries()
+	debugAddr := c.Spare[0]
 
-	daemons := make([]*exec.Cmd, shards)
-	defer func() {
-		for _, d := range daemons {
-			if d != nil {
-				d.Process.Kill()
-				d.Wait()
-			}
-		}
-	}()
-	for i := 0; i < shards; i++ {
-		dbg := ""
-		if i == 0 {
-			dbg = debugAddr
-		}
-		if daemons[i], err = startShard(bin, listens[i], queries[i], dbg, i, shards, peers); err != nil {
-			return err
-		}
-	}
-
-	// Phase 1 — healthy baseline: clean agents on both shards, rules ok.
+	// Phase 1 — healthy baseline: clean agents on both shards (network
+	// 100 on shard 0, 101 on shard 1), rules ok.
 	stop := make(chan struct{})
 	defer close(stop)
-	var clean []*telemetry.Agent
-	for i := 0; i < shards; i++ {
-		clean = append(clean, startAgents(listens[i], 2, fmt.Sprintf("Q2MN-S%d", i), false, stop)...)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		left := 0
-		for _, a := range clean {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("clean fleet did not drain: %d reports still queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
+	clean := fleettest.NewFleet(fleettest.Spec{Networks: shards, APs: 2, Reports: 20}, 20)
+	clean.Run(func(net uint64) string { return c.Daemons[net-100].Listen }, stop)
+	if err := clean.Drain(time.Now().Add(30 * time.Second)); err != nil {
+		return fmt.Errorf("clean fleet: %v", err)
 	}
 	for i := 0; i < shards; i++ {
 		if st, err := alertState(queries[i], "harvest-degradation"); err != nil || st != "ok" {
@@ -291,20 +162,20 @@ func run() error {
 	// corrupt. The harvest-degradation rule (error delta over 3 ticks)
 	// must fire on shard 1 and stay ok on shard 0.
 	chaosStop := make(chan struct{})
-	startAgents(listens[1], 4, "Q2MN-CHAOS", true, chaosStop)
+	startChaos(c.Daemons[1].Listen, 4, chaosStop)
 	if err := waitForState(queries[1], "harvest-degradation", "firing", 30*time.Second); err != nil {
 		close(chaosStop)
 		return fmt.Errorf("degraded shard: %v", err)
 	}
 	// The firing alert surfaces on every operator view of shard 1.
-	status, err := queryLines(queries[1], "status")
+	status, err := cluster.Query(queries[1], "status", nil, 5*time.Second)
 	if err != nil {
 		return err
 	}
 	if !strings.Contains(strings.Join(status, "\n"), "harvest-degradation") {
 		return fmt.Errorf("status does not surface the firing alert: %q", status)
 	}
-	watch, err := queryLines(queries[1], "watch")
+	watch, err := cluster.Query(queries[1], "watch", nil, 5*time.Second)
 	if err != nil {
 		return err
 	}
@@ -361,11 +232,12 @@ func run() error {
 
 	// Phase 5 — the operator dashboard: one merakireport -watch refresh
 	// renders a line per shard from the same fleet.
-	rep := filepath.Join(tmp, "merakireport")
-	if out, err := exec.Command("go", "build", "-o", rep, "./cmd/merakireport").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build merakireport: %v\n%s", err, out)
+	rep, err := fleettest.Build("merakireport")
+	if err != nil {
+		return err
 	}
-	out, err := exec.Command(rep, "-cluster", peers, "-watch", "-watch-count", "1", "-watch-every", "100ms").CombinedOutput()
+	defer os.RemoveAll(filepath.Dir(rep))
+	out, err := exec.Command(rep, "-cluster", strings.Join(queries, ","), "-watch", "-watch-count", "1", "-watch-every", "100ms").CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("merakireport -watch: %v\n%s", err, out)
 	}

@@ -1,9 +1,9 @@
 // Command rebalancecheck is the live-migration smoke gate (`make
-// rebalance-smoke`): it builds merakid and merakireport, harvests a
-// first wave of reports into a 2-shard WAL-backed cluster, starts an
-// empty third shard, and grows the cluster with the real operator
-// flow — `merakireport -cluster OLD -rebalance NEW` — then flips the
-// agents to the new topology for a second wave. The gate fails unless:
+// rebalance-smoke`): it starts a 2-shard WAL-backed merakid cluster
+// plus an empty third shard, harvests a first wave of reports into the
+// two old shards, and grows the cluster with the real operator flow —
+// `merakireport -cluster OLD -rebalance NEW` — then flips the agents to
+// the new topology for a second wave. The gate fails unless:
 //
 //   - the rebalance driver exits zero and a re-run reports nothing
 //     left to move (the runbook's convergence check),
@@ -16,7 +16,6 @@ package main
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -24,224 +23,72 @@ import (
 	"strings"
 	"time"
 
-	"wlanscale/internal/backend"
 	"wlanscale/internal/cluster"
-	"wlanscale/internal/dot11"
-	"wlanscale/internal/telemetry"
+	"wlanscale/internal/fleettest"
 )
 
-const (
-	nNetworks  = 6
-	apsPerNet  = 2
-	nReports   = 60 // per AP, split into two waves around the rebalance
-	waveSplit  = 30
-	defaultKey = 0x42 // matches merakid's default -key (64 hex '42's)
-)
+// spec's streams split into two waves around the rebalance.
+var spec = fleettest.Spec{Networks: 6, APs: 2, Reports: 60}
 
-func reports(netID uint64, ap int) []*telemetry.Report {
-	serial := fmt.Sprintf("Q2CL-%03d-%d", netID, ap)
-	out := make([]*telemetry.Report, 0, nReports)
-	for i := 0; i < nReports; i++ {
-		out = append(out, &telemetry.Report{
-			Serial:    serial,
-			Timestamp: uint64(1700000000 + i),
-			Clients: []telemetry.ClientRecord{{
-				MAC:  dot11.MAC{0x02, 0xc8, byte(netID), byte(ap), byte(i >> 8), byte(i)},
-				Band: dot11.Band5,
-				Apps: []telemetry.AppUsageRecord{{
-					App: "HTTP", UpBytes: uint64(i), DownBytes: uint64(i) * 17, Flows: 1,
-				}},
-			}},
-		})
-	}
-	return out
-}
+const waveSplit = 30
 
-func controlDigest() string {
-	s := backend.NewStore()
-	for n := 0; n < nNetworks; n++ {
-		for ap := 0; ap < apsPerNet; ap++ {
-			for i, r := range reports(uint64(100+n), ap) {
-				r.SeqNo = uint64(i + 1)
-				s.Ingest(r)
-			}
-		}
-	}
-	return s.Digest()
-}
-
-func freePorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-func startShard(bin, listen, query, walDir string, shard, shards, epoch int, peers string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin,
-		"-listen", listen, "-query", query,
-		"-poll", "20ms", "-batch", "8", "-timeout", "2s",
-		"-wal-dir", walDir, "-wal-fsync", "off",
-		"-checkpoint", "75ms", "-trace-sample", "0",
-		"-shard", strconv.Itoa(shard), "-shards", strconv.Itoa(shards),
-		"-map-epoch", strconv.Itoa(epoch), "-peers", peers,
-	)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if conn, err := net.DialTimeout("tcp", query, 200*time.Millisecond); err == nil {
-			conn.Close()
-			return cmd, nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	return nil, fmt.Errorf("shard %d did not open query port %s", shard, query)
-}
-
-func queryLines(addr, command string) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+// networksOn lists the network IDs one shard holds.
+func networksOn(query string) (map[uint64]bool, error) {
+	lines, err := cluster.Query(query, "networks", nil, 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(conn, "%s\nquit\n", command); err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		b.Write(buf[:n])
+	ids := make(map[uint64]bool)
+	for _, ln := range lines {
+		id, err := strconv.ParseUint(ln, 10, 64)
 		if err != nil {
-			break
+			return nil, fmt.Errorf("networks line %q from %s", ln, query)
 		}
+		ids[id] = true
 	}
-	var lines []string
-	for _, ln := range strings.Split(b.String(), "\n") {
-		if ln == "" {
-			break
-		}
-		lines = append(lines, ln)
-	}
-	return lines, nil
-}
-
-func drain(agents []*telemetry.Agent) error {
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		left := 0
-		for _, a := range agents {
-			left += a.QueueLen()
-		}
-		if left == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet did not drain: %d reports still queued", left)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	return ids, nil
 }
 
 func run() error {
+	merakid, err := fleettest.Build("merakid")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(filepath.Dir(merakid))
+	merakireport, err := fleettest.Build("merakireport")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(filepath.Dir(merakireport))
 	tmp, err := os.MkdirTemp("", "rebalancecheck-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
 
-	merakid := filepath.Join(tmp, "merakid")
-	if out, err := exec.Command("go", "build", "-o", merakid, "./cmd/merakid").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build merakid: %v\n%s", err, out)
-	}
-	merakireport := filepath.Join(tmp, "merakireport")
-	if out, err := exec.Command("go", "build", "-o", merakireport, "./cmd/merakireport").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build merakireport: %v\n%s", err, out)
-	}
-
-	ports, err := freePorts(6)
+	c, err := fleettest.Start(fleettest.Config{Bin: merakid, Daemons: 3, WALRoot: tmp, Flags: fleettest.GrowFlags(2)})
 	if err != nil {
 		return err
 	}
-	listens := []string{ports[0], ports[2], ports[4]}
-	queries := []string{ports[1], ports[3], ports[5]}
+	defer c.Stop()
+	queries := c.Queries()
 	oldPeers := strings.Join(queries[:2], ",")
 	newPeers := strings.Join(queries, ",")
-
-	daemons := make([]*exec.Cmd, 3)
-	defer func() {
-		for _, d := range daemons {
-			if d != nil {
-				d.Process.Kill()
-				d.Wait()
-			}
-		}
-	}()
-	for i := 0; i < 2; i++ {
-		walDir := filepath.Join(tmp, fmt.Sprintf("wal-%d", i))
-		if daemons[i], err = startShard(merakid, listens[i], queries[i], walDir, i, 2, 1, oldPeers); err != nil {
-			return err
-		}
-	}
 
 	// Wave one: harvest the first half of every AP's stream into the
 	// 2-shard cluster, routed by the old map.
 	oldMap, newMap := cluster.NewMap(2), cluster.NewMap(3)
-	key := make([]byte, 32)
-	for i := range key {
-		key[i] = defaultKey
-	}
+	f := fleettest.NewFleet(spec, waveSplit)
 	stopOld := make(chan struct{})
-	var agents []*telemetry.Agent
-	var streams [][]*telemetry.Report
-	ai := 0
-	for n := 0; n < nNetworks; n++ {
-		netID := uint64(100 + n)
-		for ap := 0; ap < apsPerNet; ap++ {
-			a := telemetry.NewAgent(fmt.Sprintf("Q2CL-%03d-%d", netID, ap), key)
-			if ai%2 == 0 {
-				a.Wire = telemetry.WireV2
-			}
-			a.Timeout = 2 * time.Second
-			a.BackoffBase = 20 * time.Millisecond
-			a.BackoffMax = 200 * time.Millisecond
-			rs := reports(netID, ap)
-			for _, r := range rs[:waveSplit] {
-				a.Enqueue(r)
-			}
-			agents = append(agents, a)
-			streams = append(streams, rs)
-			go a.RunWithReconnect(listens[oldMap.Shard(netID)], stopOld)
-			ai++
-		}
-	}
-	if err := drain(agents); err != nil {
-		return err
-	}
+	f.Run(func(net uint64) string { return c.Daemons[oldMap.Shard(net)].Listen }, stopOld)
+	err = f.Drain(time.Now().Add(60 * time.Second))
 	close(stopOld) // wave one delivered; agents re-home for wave two
-
-	// The new shard joins empty, then the operator command grows the
-	// cluster: part, extract, absorb, digest-verify, cut over.
-	if daemons[2], err = startShard(merakid, listens[2], queries[2], filepath.Join(tmp, "wal-2"), 2, 3, 2, newPeers); err != nil {
+	if err != nil {
 		return err
 	}
+
+	// The operator command grows the cluster: part, extract, absorb,
+	// digest-verify, cut over.
 	out, err := exec.Command(merakireport, "-cluster", oldPeers, "-rebalance", newPeers).CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("merakireport -rebalance: %v\n%s", err, out)
@@ -263,31 +110,16 @@ func run() error {
 
 	// Moved networks must have left their sources and arrived whole on
 	// the new shard.
-	onShard := func(q string) (map[uint64]bool, error) {
-		lines, err := queryLines(q, "networks")
-		if err != nil {
-			return nil, err
-		}
-		ids := make(map[uint64]bool)
-		for _, ln := range lines {
-			id, err := strconv.ParseUint(ln, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("networks line %q from %s", ln, q)
-			}
-			ids[id] = true
-		}
-		return ids, nil
-	}
-	newIDs, err := onShard(queries[2])
+	newIDs, err := networksOn(queries[2])
 	if err != nil {
 		return err
 	}
-	for n := 0; n < nNetworks; n++ {
+	for n := 0; n < spec.Networks; n++ {
 		id := uint64(100 + n)
 		if oldMap.Shard(id) == newMap.Shard(id) {
 			continue
 		}
-		src, err := onShard(queries[oldMap.Shard(id)])
+		src, err := networksOn(queries[oldMap.Shard(id)])
 		if err != nil {
 			return err
 		}
@@ -303,18 +135,13 @@ func run() error {
 	// the new topology — moved networks now land on the new shard.
 	stopNew := make(chan struct{})
 	defer close(stopNew)
-	for i, a := range agents {
-		for _, r := range streams[i][waveSplit:] {
-			a.Enqueue(r)
-		}
-		netID := uint64(100 + i/apsPerNet)
-		go a.RunWithReconnect(listens[newMap.Shard(netID)], stopNew)
-	}
-	if err := drain(agents); err != nil {
+	f.EnqueueRest()
+	f.Run(func(net uint64) string { return c.Daemons[newMap.Shard(net)].Listen }, stopNew)
+	if err := f.Drain(time.Now().Add(60 * time.Second)); err != nil {
 		return err
 	}
 
-	want := controlDigest()
+	want := spec.ControlDigest()
 	r := &cluster.Router{Shards: queries, Timeout: 5 * time.Second}
 	dig, err := r.MergedDigest()
 	if err != nil {
